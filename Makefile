@@ -13,12 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
-# Race coverage for every concurrent runtime.
+# Race coverage for every concurrent runtime and the benchmark.
 race:
 	$(GO) test -race ./internal/island/... ./internal/supervise/... \
 		./internal/masterslave/... ./internal/cellular/... ./internal/p2p/... \
 		./internal/cluster/... ./internal/hga/... ./internal/ga/... \
-		./internal/transport/...
+		./internal/transport/... ./cmd/pgaperf/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -46,7 +46,7 @@ lint:
 	$(GO) vet -copylocks -unusedresult ./...
 
 # Golden-trace coverage audit: every declared RNG-draw equivalence pair
-# (core/operators/island DrawPairs) must be exercised by a pinned golden
+# (core/island DrawPairs) must be exercised by a pinned golden
 # scenario or a dedicated equivalence test. Writes the markdown report
 # to tracecover.md (uploaded as a CI artifact) and fails on uncovered
 # pairs.

@@ -21,9 +21,10 @@
 //
 // -tracecover skips linting and audits the golden-trace coverage of the
 // declared RNG-draw equivalence pairs: every pair (core.DrawPairs,
-// operators.DrawPairs, island.DrawPairs) must be backed by a pinned
-// golden scenario exercising its operator or by a dedicated equivalence
-// test. The report is markdown (JSON with -json); uncovered pairs exit 1.
+// island.DrawPairs) must be backed by a pinned golden scenario or by a
+// dedicated equivalence test. The report also lists the registered
+// operators no golden scenario exercises. The report is markdown (JSON
+// with -json); uncovered pairs exit 1.
 //
 // -sarif emits findings as a SARIF 2.1.0 log for GitHub code scanning;
 // -time reports per-rule wall time on stderr; -deadline fails the run

@@ -2,8 +2,8 @@ package main
 
 // -tracecover assembly: this file is the one place the linter binary
 // touches product packages. It gathers the runtime equivalence-pair
-// registries (core, operators, island), the operator registry and the
-// pinned golden-trace scenario table, and feeds them to the pure
+// registries (core, island), the operator registry and the pinned
+// golden-trace scenario table, and feeds them to the pure
 // analysis.BuildTraceCover transform. A sync test in this package keeps
 // the runtime pair union identical to the analysis-side
 // DefaultDrawParityConfig, so internal/analysis itself never imports
@@ -22,7 +22,6 @@ import (
 func allDrawPairs() []core.DrawPair {
 	var pairs []core.DrawPair
 	pairs = append(pairs, core.DrawPairs()...)
-	pairs = append(pairs, operators.DrawPairs()...)
 	pairs = append(pairs, island.DrawPairs()...)
 	return pairs
 }

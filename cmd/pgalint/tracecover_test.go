@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // TestDrawPairRegistryMatchesAnalysis is the layering sync gate: the
-// runtime pair registries (core/operators/island DrawPairs) and the
+// runtime pair registries (core/island DrawPairs) and the
 // analysis-side DefaultDrawParityConfig must list exactly the same
 // pairs, so the linter proves parity for precisely the substitutions the
 // engines perform — without internal/analysis importing product code.
@@ -53,6 +54,18 @@ func TestTraceCoverCleanOnRepo(t *testing.T) {
 		if !strings.Contains(md, pc.Pair.A) {
 			t.Errorf("markdown report missing pair member %s", pc.Pair.A)
 		}
+	}
+}
+
+// TestTraceCoverOperatorsPinned keeps every registered operator under a
+// golden scenario except Best (no draws) and Random (one Intn). A new
+// operator without a golden trace fails here; the audit's own gate only
+// covers declared pairs.
+func TestTraceCoverOperatorsPinned(t *testing.T) {
+	got := buildTraceCover().UncoveredOps
+	want := []string{"Best", "Random"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("operators without a golden scenario: %v, want %v", got, want)
 	}
 }
 

@@ -1,18 +1,18 @@
 package analysis
 
 // Rule 14, drawparity: declared equivalence pairs must have identical
-// symbolic draw shapes. The repo's engines freely substitute one member
-// of a pair for the other (allocating Cross vs in-place CrossInto,
-// Select vs SelectScratch, SUS vs SUSInto, the scalar vs batched
-// evaluator path, the in-process island seed split vs the wire one), and
-// the substitution is sound only when both members consume the same RNG
-// draw sequence. The dynamic proof is one golden trace per operator; the
-// static proof is shape equality, which also covers operators a trace
-// does not exercise and catches a desync at review time instead of at
-// golden-regeneration time.
+// symbolic draw shapes. The repo substitutes one member of a pair for
+// the other (the scalar vs batched evaluator path, the in-process island
+// seed split vs the wire one), and the substitution is sound only when
+// both members consume the same RNG draw sequence. The dynamic proof is
+// a golden trace or a dedicated equivalence test; the static proof is
+// shape equality, which catches a desync at review time instead of at
+// golden-regeneration time. Operators need no pairs: each crossover and
+// rank-based selector has a single body (CrossInto, SelectScratch) that
+// its allocating entry point wraps.
 //
-// The declared pairs mirror the runtime registries in internal/core,
-// internal/operators and internal/island (core.DrawPairs et al.);
+// The declared pairs mirror the runtime registries in internal/core and
+// internal/island (core.DrawPairs, island.DrawPairs);
 // analysis stays import-decoupled from the product packages, and a sync
 // test in cmd/pgalint asserts the two listings agree. Mismatches are
 // reported at both members, in whichever package's pass owns each.
@@ -36,28 +36,16 @@ type DrawParityConfig struct {
 // sync with the runtime registries (TestDrawPairRegistryMatchesAnalysis
 // in cmd/pgalint enforces it).
 func DefaultDrawParityConfig() DrawParityConfig {
-	ops := "pga/internal/operators."
-	var pairs []DrawPairSpec
-	for _, c := range []string{
-		"OnePoint", "TwoPoint", "KPoint", "Uniform", "Arithmetic", "BLX",
-		"SBX", "OX", "PMX", "CX", "ERX", "UniformWord", "KPointWord",
-	} {
-		pairs = append(pairs, DrawPairSpec{A: ops + c + ".Cross", B: ops + c + ".CrossInto"})
-	}
-	pairs = append(pairs,
-		DrawPairSpec{A: ops + "LinearRank.Select", B: ops + "LinearRank.SelectScratch"},
-		DrawPairSpec{A: ops + "Truncation.Select", B: ops + "Truncation.SelectScratch"},
-		DrawPairSpec{A: ops + "SUS", B: ops + "SUSInto"},
-		DrawPairSpec{
+	return DrawParityConfig{Pairs: []DrawPairSpec{
+		{
 			A: "pga/internal/core.SerialEvaluator.EvaluateAll",
 			B: "pga/internal/core.SerialEvaluator.evaluateBatch",
 		},
-		DrawPairSpec{
+		{
 			A: "pga/internal/island.newDemeStreams",
 			B: "pga/internal/island.WireStreams",
 		},
-	)
-	return DrawParityConfig{Pairs: pairs}
+	}}
 }
 
 // DrawParityRule returns the drawparity analyzer with the default pairs.
@@ -67,9 +55,8 @@ func DrawParityRule() *Analyzer { return DrawParityWith(DefaultDrawParityConfig(
 func DrawParityWith(cfg DrawParityConfig) *Analyzer {
 	return &Analyzer{
 		Name: "drawparity",
-		Doc: "requires declared equivalence pairs (allocating/in-place operators, " +
-			"scalar/batch evaluation, island seed splits) to consume identical " +
-			"symbolic RNG draw shapes",
+		Doc: "requires declared equivalence pairs (scalar/batch evaluation, " +
+			"island seed splits) to consume identical symbolic RNG draw shapes",
 		Run: func(pass *Pass) {
 			if pass.Facts == nil {
 				return

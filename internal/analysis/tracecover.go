@@ -10,8 +10,8 @@ package analysis
 // with real draws.
 //
 // This file is a pure data transform: cmd/pgalint assembles the inputs
-// from the product registries (core.DrawPairs, operators.DrawPairs,
-// island.DrawPairs, operators.RegisteredOperators, equiv.Scenarios), so
+// from the product registries (core.DrawPairs, island.DrawPairs,
+// operators.RegisteredOperators, equiv.Scenarios), so
 // internal/analysis keeps its no-product-imports layering.
 
 import (

@@ -8,14 +8,14 @@ package core
 // dedicated test named by Test. `pgalint -tracecover` audits that every
 // declared pair has one of the two dynamic backings.
 //
-// Each package owning pair members exposes its own DrawPairs()
-// (operators, island, and this package); cmd/pgalint takes the union and
-// a sync test there keeps it identical to the analysis-side
-// DefaultDrawParityConfig, so the linter never has to import product
-// packages.
+// Each package owning pair members exposes its own DrawPairs() (island
+// and this package); cmd/pgalint takes the union and a sync test there
+// keeps it identical to the analysis-side DefaultDrawParityConfig, so
+// the linter never has to import product packages. Operators declare no
+// pairs: each has a single body behind both of its entry points.
 type DrawPair struct {
 	// A and B are the qualified function names as the call graph renders
-	// them ("pga/internal/operators.KPoint.Cross").
+	// them ("pga/internal/island.WireStreams").
 	A, B string
 	// Op is the operator type name golden scenarios list ("KPoint"),
 	// empty for non-operator pairs.

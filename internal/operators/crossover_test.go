@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -326,6 +327,135 @@ func TestCrossoverDeterministicWithSameSeed(t *testing.T) {
 	for i := range x.Perm {
 		if x.Perm[i] != y.Perm[i] {
 			t.Fatal("crossover not reproducible with same seed")
+		}
+	}
+}
+
+// crossGenomes builds a random genome of each class the spec vocabulary
+// names.
+var crossGenomes = map[string]func(n int, r *rng.Source) core.Genome{
+	"bits": func(n int, r *rng.Source) core.Genome { return genome.RandomBitString(n, r) },
+	"real": func(n int, r *rng.Source) core.Genome { return genome.RandomRealVector(n, -5, 5, r) },
+	"int":  func(n int, r *rng.Source) core.Genome { return genome.RandomIntVector(n, 7, r) },
+	"perm": func(n int, r *rng.Source) core.Genome { return genome.RandomPermutation(n, r) },
+}
+
+// staleChild builds a reused child of another lineage: the parents'
+// class and length, but other genes, bounds and cardinality.
+func staleChild(class string, n int, r *rng.Source) core.Genome {
+	switch class {
+	case "real":
+		return genome.RandomRealVector(n, -1, 1, r)
+	case "int":
+		return genome.RandomIntVector(n, 3, r)
+	}
+	return crossGenomes[class](n, r)
+}
+
+// geneStorage returns a pointer to the first element of g's gene array,
+// or nil when it is empty: two genomes share storage iff these match.
+func geneStorage(g core.Genome) any {
+	switch v := g.(type) {
+	case *genome.BitString:
+		if len(v.Words) > 0 {
+			return &v.Words[0]
+		}
+	case *genome.RealVector:
+		if len(v.Genes) > 0 {
+			return &v.Genes[0]
+		}
+	case *genome.IntVector:
+		if len(v.Genes) > 0 {
+			return &v.Genes[0]
+		}
+	case *genome.Permutation:
+		if len(v.Perm) > 0 {
+			return &v.Perm[0]
+		}
+	}
+	return nil
+}
+
+// TestCrossMatchesCrossInto pins the two crossover entry points to each
+// other for every registered crossover (plus multi-cut k-point variants)
+// on every genome class its spec entry accepts. Cross builds fresh
+// children; CrossInto overwrites reused children of another lineage and
+// runs on a Scratch left dirty by a different operator at a larger
+// length. Both must yield identical children and leave the RNG at the
+// same next draw, neither may modify a parent, and no child may share
+// gene storage with a parent.
+func TestCrossMatchesCrossInto(t *testing.T) {
+	classes := map[string][]string{}
+	for _, e := range SpecEntries() {
+		if e.Kind == KindCrossover {
+			classes[OperatorTypeName(e.Build(map[string]float64{}))] = e.Genomes
+		}
+	}
+	var ops []InPlaceCrossover
+	for _, op := range RegisteredOperators() {
+		if _, ok := op.(Crossover); !ok {
+			continue
+		}
+		c, ok := op.(InPlaceCrossover)
+		if !ok {
+			t.Fatalf("%T has no CrossInto", op)
+		}
+		ops = append(ops, c)
+	}
+	ops = append(ops, KPoint{K: 3}, KPointWord{K: 3})
+	// Between them the dirtying operators touch every Scratch buffer a
+	// crossover uses.
+	dirtiers := []struct {
+		op    InPlaceCrossover
+		class string
+	}{{KPoint{K: 3}, "bits"}, {OX{}, "perm"}, {PMX{}, "perm"}, {CX{}, "perm"}, {ERX{}, "perm"}}
+
+	for _, op := range ops {
+		name := OperatorTypeName(op)
+		if len(classes[name]) == 0 {
+			t.Fatalf("%s: no genome classes in the spec vocabulary", name)
+		}
+		for _, class := range classes[name] {
+			gen := crossGenomes[class]
+			for _, n := range []int{1, 2, 5, 17, 63, 64, 65, 130} {
+				for seed := uint64(1); seed <= 3; seed++ {
+					setup := rng.New(seed*1000 + uint64(n))
+					s := new(Scratch)
+					for _, d := range dirtiers {
+						if OperatorTypeName(d.op) == name {
+							continue
+						}
+						m := 2*n + 3
+						dg := crossGenomes[d.class]
+						d.op.CrossInto(dg(m, setup), dg(m, setup), dg(m, setup), dg(m, setup), setup, s)
+					}
+					a, b := gen(n, setup), gen(n, setup)
+					a0, b0 := a.Clone(), b.Clone()
+					d1, d2 := staleChild(class, n, setup), staleChild(class, n, setup)
+
+					r1 := rng.New(seed)
+					c1, c2 := op.Cross(a, b, r1)
+					r2 := rng.New(seed)
+					op.CrossInto(a, b, d1, d2, r2, s)
+
+					where := name + "/" + class
+					if !reflect.DeepEqual(c1, d1) || !reflect.DeepEqual(c2, d2) {
+						t.Fatalf("%s n=%d seed=%d: CrossInto children %v %v, Cross %v %v",
+							where, n, seed, d1, d2, c1, c2)
+					}
+					if r1.Uint64() != r2.Uint64() {
+						t.Fatalf("%s n=%d seed=%d: RNG streams diverge after crossover", where, n, seed)
+					}
+					if !reflect.DeepEqual(a, a0) || !reflect.DeepEqual(b, b0) {
+						t.Fatalf("%s n=%d seed=%d: a parent was modified", where, n, seed)
+					}
+					for _, c := range []core.Genome{c1, c2, d1, d2} {
+						if st := geneStorage(c); st != nil && (st == geneStorage(a) || st == geneStorage(b)) {
+							t.Fatalf("%s n=%d seed=%d: a child shares gene storage with a parent", where, n, seed)
+						}
+					}
+				}
+			}
 		}
 	}
 }

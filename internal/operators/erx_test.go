@@ -102,17 +102,23 @@ func TestERXDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestERXCrossIntoMatchesCross proves the in-place variant is
-// draw-identical to the allocating form: same parents and seed produce
-// the same children AND leave the RNG stream in the same state (checked
-// by comparing the next draw), across sizes that exercise the tie-break
-// and dead-end restart paths.
+// TestERXCrossIntoMatchesCross checks the flat-table ERX against the
+// map-based reference below: same parents and seed produce the same
+// children AND leave the RNG stream in the same state (checked by
+// comparing the next draw), across sizes that exercise the tie-break
+// and dead-end restart paths. Cross is checked too; it delegates to
+// CrossInto.
 func TestERXCrossIntoMatchesCross(t *testing.T) {
 	for _, n := range []int{2, 3, 8, 17, 40} {
 		for seed := uint64(1); seed <= 8; seed++ {
 			setup := rng.New(seed)
 			a := genome.RandomPermutation(n, setup)
 			b := genome.RandomPermutation(n, setup)
+
+			r0 := rng.New(seed * 101)
+			edges := buildEdgeMap(a.Perm, b.Perm)
+			w1 := erxChild(edges, a.Perm[0], n, r0)
+			w2 := erxChild(edges, b.Perm[0], n, r0)
 
 			r1 := rng.New(seed * 101)
 			c1, c2 := (ERX{}).Cross(a, b, r1)
@@ -125,11 +131,15 @@ func TestERXCrossIntoMatchesCross(t *testing.T) {
 
 			p1, p2 := c1.(*genome.Permutation), c2.(*genome.Permutation)
 			for i := 0; i < n; i++ {
+				if w1.Perm[i] != d1.Perm[i] || w2.Perm[i] != d2.Perm[i] {
+					t.Fatalf("n=%d seed=%d: CrossInto children diverge from the reference at %d", n, seed, i)
+				}
 				if p1.Perm[i] != d1.Perm[i] || p2.Perm[i] != d2.Perm[i] {
-					t.Fatalf("n=%d seed=%d: CrossInto children diverge from Cross at %d", n, seed, i)
+					t.Fatalf("n=%d seed=%d: Cross children diverge from CrossInto at %d", n, seed, i)
 				}
 			}
-			if r1.Uint64() != r2.Uint64() {
+			next := r0.Uint64()
+			if r1.Uint64() != next || r2.Uint64() != next {
 				t.Fatalf("n=%d seed=%d: RNG streams diverge after crossover", n, seed)
 			}
 		}
@@ -151,4 +161,94 @@ func TestERXCrossIntoAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("ERX.CrossInto: %.1f allocs per call, want 0", avg)
 	}
+}
+
+// The map-based ERX: the reference TestERXCrossIntoMatchesCross checks
+// the flat-table implementation against.
+
+// buildEdgeMap returns each city's neighbour set over both parent tours
+// (closed tours: first and last are adjacent).
+func buildEdgeMap(pa, pb []int) [][]int {
+	n := len(pa)
+	sets := make([]map[int]bool, n)
+	for i := range sets {
+		sets[i] = make(map[int]bool, 4)
+	}
+	addTour := func(p []int) {
+		for i, v := range p {
+			prev := p[(i+n-1)%n]
+			next := p[(i+1)%n]
+			sets[v][prev] = true
+			sets[v][next] = true
+		}
+	}
+	addTour(pa)
+	addTour(pb)
+	out := make([][]int, n)
+	for v, s := range sets {
+		for u := range s {
+			out[v] = append(out[v], u)
+		}
+		// Sort for determinism (map iteration order is random).
+		for i := 1; i < len(out[v]); i++ {
+			for j := i; j > 0 && out[v][j] < out[v][j-1]; j-- {
+				out[v][j], out[v][j-1] = out[v][j-1], out[v][j]
+			}
+		}
+	}
+	return out
+}
+
+// erxChild builds one child tour starting from start.
+func erxChild(edges [][]int, start, n int, r *rng.Source) *genome.Permutation {
+	used := make([]bool, n)
+	remaining := make([]int, n) // remaining edge count per city
+	for v := range edges {
+		remaining[v] = len(edges[v])
+	}
+	child := make([]int, 0, n)
+	cur := start
+	for {
+		child = append(child, cur)
+		used[cur] = true
+		if len(child) == n {
+			break
+		}
+		// Decrease the remaining-degree of cur's neighbours.
+		for _, u := range edges[cur] {
+			if !used[u] {
+				remaining[u]--
+			}
+		}
+		// Next: unused neighbour with the fewest remaining edges; ties
+		// broken uniformly at random.
+		var cand []int
+		bestDeg := 1 << 30
+		for _, u := range edges[cur] {
+			if used[u] {
+				continue
+			}
+			switch {
+			case remaining[u] < bestDeg:
+				bestDeg = remaining[u]
+				cand = cand[:0]
+				cand = append(cand, u)
+			case remaining[u] == bestDeg:
+				cand = append(cand, u)
+			}
+		}
+		if len(cand) == 0 {
+			// Dead end: restart from a uniformly random unused city.
+			var unused []int
+			for v := 0; v < n; v++ {
+				if !used[v] {
+					unused = append(unused, v)
+				}
+			}
+			cur = unused[r.Intn(len(unused))]
+			continue
+		}
+		cur = cand[r.Intn(len(cand))]
+	}
+	return &genome.Permutation{Perm: child}
 }

@@ -9,7 +9,6 @@ package operators
 
 import (
 	"fmt"
-	"sort"
 
 	"pga/internal/core"
 	"pga/internal/rng"
@@ -118,37 +117,7 @@ func (s LinearRank) sp() float64 {
 
 // Select implements Selector.
 func (s LinearRank) Select(pop *core.Population, d core.Direction, r *rng.Source) int {
-	n := pop.Len()
-	ranked := rankIndices(pop, d)
-	// rank 0 = worst … n-1 = best; weight(rank) = 2-SP + 2(SP-1)rank/(n-1).
-	sp := s.sp()
-	if n == 1 {
-		return 0
-	}
-	total := float64(n) // weights sum to n by construction
-	x := r.Float64() * total
-	acc := 0.0
-	for rank := 0; rank < n; rank++ {
-		w := 2 - sp + 2*(sp-1)*float64(rank)/float64(n-1)
-		acc += w
-		if x < acc {
-			return ranked[rank]
-		}
-	}
-	return ranked[n-1]
-}
-
-// rankIndices returns population indices ordered worst → best under d.
-func rankIndices(pop *core.Population, d core.Direction) []int {
-	idx := make([]int, pop.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		// worst first
-		return d.Better(pop.Members[idx[b]].Fitness, pop.Members[idx[a]].Fitness)
-	})
-	return idx
+	return s.SelectScratch(pop, d, r, new(Scratch))
 }
 
 // Truncation selects uniformly among the best Frac fraction of the
@@ -170,13 +139,7 @@ func (s Truncation) frac() float64 {
 
 // Select implements Selector.
 func (s Truncation) Select(pop *core.Population, d core.Direction, r *rng.Source) int {
-	n := pop.Len()
-	k := int(float64(n) * s.frac())
-	if k < 1 {
-		k = 1
-	}
-	ranked := rankIndices(pop, d) // worst → best
-	return ranked[n-k+r.Intn(k)]
+	return s.SelectScratch(pop, d, r, new(Scratch))
 }
 
 // Random selects uniformly, ignoring fitness (no selection pressure; the

@@ -248,11 +248,11 @@ func TestSelectorNames(t *testing.T) {
 
 func TestRankIndicesOrder(t *testing.T) {
 	pop := popWithFitness(5, 1, 9, 3)
-	idx := rankIndices(pop, core.Maximize)
+	idx := rankIndicesInto(new(Scratch), pop, core.Maximize)
 	want := []int{1, 3, 0, 2} // worst → best
 	for i := range want {
 		if idx[i] != want[i] {
-			t.Fatalf("rankIndices = %v, want %v", idx, want)
+			t.Fatalf("rankIndicesInto = %v, want %v", idx, want)
 		}
 	}
 }

@@ -50,17 +50,14 @@ func (UniformWord) Name() string { return "uniform-word" }
 
 // Cross implements Crossover.
 func (UniformWord) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	ba, bb := mustBits(a), mustBits(b)
-	if ba.N != bb.N {
-		panic("operators: UniformWord parents of different lengths")
-	}
-	ca := ba.Clone().(*genome.BitString)
-	cb := bb.Clone().(*genome.BitString)
-	uniformWords(ca, cb, r)
-	return ca, cb
+	c1, c2 := a.Clone(), b.Clone()
+	UniformWord{}.CrossInto(a, b, c1, c2, r, new(Scratch))
+	return c1, c2
 }
 
-// CrossInto implements InPlaceCrossover.
+// CrossInto implements InPlaceCrossover: one Uint64 draw per word masks
+// the exchanged bits. The XOR of two tail-invariant genomes has a zero
+// tail, so the swap preserves the invariant without masking.
 func (UniformWord) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch) {
 	ba, bb := mustBits(a), mustBits(b)
 	if ba.N != bb.N {
@@ -69,14 +66,6 @@ func (UniformWord) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratch
 	ca, cb := mustBits(c1), mustBits(c2)
 	ca.CopyFrom(ba)
 	cb.CopyFrom(bb)
-	uniformWords(ca, cb, r)
-}
-
-// uniformWords exchanges masked bits between two equal-length children:
-// one Uint64 draw per word, shared by Cross and CrossInto. The XOR of
-// two tail-invariant genomes has a zero tail, so the swap preserves the
-// invariant without masking.
-func uniformWords(ca, cb *genome.BitString, r *rng.Source) {
 	for w := range ca.Words {
 		x := (ca.Words[w] ^ cb.Words[w]) & r.Uint64()
 		ca.Words[w] ^= x
@@ -109,19 +98,9 @@ func (k KPointWord) clamp(n int) int {
 
 // Cross implements Crossover.
 func (k KPointWord) Cross(a, b core.Genome, r *rng.Source) (core.Genome, core.Genome) {
-	ba, bb := mustBits(a), mustBits(b)
-	n := ba.N
-	if bb.N != n {
-		panic("operators: KPointWord parents of different lengths")
-	}
-	ca := ba.Clone().(*genome.BitString)
-	cb := bb.Clone().(*genome.BitString)
-	if n < 2 {
-		return ca, cb
-	}
-	cuts := r.Sample(n-1, k.clamp(n))
-	kpointWordSwap(ca, cb, cuts)
-	return ca, cb
+	c1, c2 := a.Clone(), b.Clone()
+	k.CrossInto(a, b, c1, c2, r, new(Scratch))
+	return c1, c2
 }
 
 // CrossInto implements InPlaceCrossover.
@@ -147,7 +126,7 @@ func (k KPointWord) CrossInto(a, b, c1, c2 core.Genome, r *rng.Source, s *Scratc
 // ceil(k/2)+1 times via swapBitRange's masked XORs.
 func kpointWordSwap(ca, cb *genome.BitString, cuts []int) {
 	// Cut draws are distinct but unordered; a tiny insertion sort keeps
-	// this allocation-free for CrossInto (k is small).
+	// this allocation-free (k is small).
 	for i := 1; i < len(cuts); i++ {
 		for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
 			cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
