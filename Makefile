@@ -46,7 +46,7 @@ lint:
 	$(GO) vet -copylocks -unusedresult ./...
 
 # Golden-trace coverage audit: every declared RNG-draw equivalence pair
-# (core/island DrawPairs) must be exercised by a pinned golden
+# (core.DrawPairs) must be exercised by a pinned golden
 # scenario or a dedicated equivalence test. Writes the markdown report
 # to tracecover.md (uploaded as a CI artifact) and fails on uncovered
 # pairs.

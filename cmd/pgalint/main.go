@@ -20,8 +20,8 @@
 // graph the summary engine propagates effect facts over.
 //
 // -tracecover skips linting and audits the golden-trace coverage of the
-// declared RNG-draw equivalence pairs: every pair (core.DrawPairs,
-// island.DrawPairs) must be backed by a pinned golden scenario or by a
+// declared RNG-draw equivalence pairs: every pair (core.DrawPairs) must
+// be backed by a pinned golden scenario or by a
 // dedicated equivalence test. The report also lists the registered
 // operators no golden scenario exercises. The report is markdown (JSON
 // with -json); uncovered pairs exit 1.

@@ -2,10 +2,10 @@ package main
 
 // -tracecover assembly: this file is the one place the linter binary
 // touches product packages. It gathers the runtime equivalence-pair
-// registries (core, island), the operator registry and the pinned
+// registry (core.DrawPairs), the operator registry and the pinned
 // golden-trace scenario table, and feeds them to the pure
 // analysis.BuildTraceCover transform. A sync test in this package keeps
-// the runtime pair union identical to the analysis-side
+// the runtime pairs identical to the analysis-side
 // DefaultDrawParityConfig, so internal/analysis itself never imports
 // product code.
 
@@ -13,24 +13,14 @@ import (
 	"pga/internal/analysis"
 	"pga/internal/core"
 	"pga/internal/equiv"
-	"pga/internal/island"
 	"pga/internal/operators"
 )
-
-// allDrawPairs is the union of every package's declared equivalence
-// pairs.
-func allDrawPairs() []core.DrawPair {
-	var pairs []core.DrawPair
-	pairs = append(pairs, core.DrawPairs()...)
-	pairs = append(pairs, island.DrawPairs()...)
-	return pairs
-}
 
 // buildTraceCover runs the golden-trace coverage audit over the runtime
 // registries.
 func buildTraceCover() *analysis.TraceCoverReport {
 	var tps []analysis.TracePair
-	for _, p := range allDrawPairs() {
+	for _, p := range core.DrawPairs() {
 		tps = append(tps, analysis.TracePair{A: p.A, B: p.B, Op: p.Op, Test: p.Test, Why: p.Why})
 	}
 	var ops []string

@@ -8,16 +8,17 @@ import (
 	"testing"
 
 	"pga/internal/analysis"
+	"pga/internal/core"
 )
 
 // TestDrawPairRegistryMatchesAnalysis is the layering sync gate: the
-// runtime pair registries (core/island DrawPairs) and the
+// runtime pair registry (core.DrawPairs) and the
 // analysis-side DefaultDrawParityConfig must list exactly the same
 // pairs, so the linter proves parity for precisely the substitutions the
 // engines perform — without internal/analysis importing product code.
 func TestDrawPairRegistryMatchesAnalysis(t *testing.T) {
 	runtime := map[string]bool{}
-	for _, p := range allDrawPairs() {
+	for _, p := range core.DrawPairs() {
 		runtime[p.A+" / "+p.B] = true
 	}
 	static := map[string]bool{}
@@ -31,7 +32,7 @@ func TestDrawPairRegistryMatchesAnalysis(t *testing.T) {
 	}
 	for k := range static {
 		if !runtime[k] {
-			t.Errorf("pair %s in DefaultDrawParityConfig but not declared by any DrawPairs()", k)
+			t.Errorf("pair %s in DefaultDrawParityConfig but not declared by core.DrawPairs()", k)
 		}
 	}
 }
@@ -74,7 +75,7 @@ func TestTraceCoverOperatorsPinned(t *testing.T) {
 // exists in the member's package, so coverage claims cannot rot through
 // renames.
 func TestDrawPairTestsExist(t *testing.T) {
-	for _, p := range allDrawPairs() {
+	for _, p := range core.DrawPairs() {
 		if p.Test == "" {
 			continue
 		}

@@ -329,6 +329,48 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 }
 
+// TestAllowlistsNameDeclaredFunctions keeps the function-qualified
+// entries of the nowallclock allowlist and the hiddenalloc hot and cold
+// lists live: each must name a function or method declared in the
+// module. An entry left behind by a rename would otherwise match nothing
+// today and silently exempt a later function that takes the name.
+func TestAllowlistsNameDeclaredFunctions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-module type check in -short mode")
+	}
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := LoadModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, pkg := range mod.Pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					declared[pkg.Path+"."+fd.Name.Name] = true
+				}
+			}
+		}
+	}
+	hidden := DefaultHiddenAllocConfig()
+	lists := map[string][]string{
+		"nowallclock Allow": DefaultNoWallClockConfig().Allow,
+		"hiddenalloc Hot":   hidden.Hot,
+		"hiddenalloc Cold":  hidden.Cold,
+	}
+	for list, entries := range lists {
+		for _, entry := range entries {
+			if hasFuncQualifier(entry) && !declared[entry] {
+				t.Errorf("%s entry %s names no function declared in the module", list, entry)
+			}
+		}
+	}
+}
+
 func TestLoadModuleShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type check in -short mode")

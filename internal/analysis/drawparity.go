@@ -2,19 +2,19 @@ package analysis
 
 // Rule 14, drawparity: declared equivalence pairs must have identical
 // symbolic draw shapes. The repo substitutes one member of a pair for
-// the other (the scalar vs batched evaluator path, the in-process island
-// seed split vs the wire one), and the substitution is sound only when
-// both members consume the same RNG draw sequence. The dynamic proof is
-// a golden trace or a dedicated equivalence test; the static proof is
-// shape equality, which catches a desync at review time instead of at
-// golden-regeneration time. Operators need no pairs: each crossover and
-// rank-based selector has a single body (CrossInto, SelectScratch) that
-// its allocating entry point wraps.
+// the other (the scalar vs batched evaluator path), and the substitution
+// is sound only when both members consume the same RNG draw sequence.
+// The dynamic proof is a golden trace or a dedicated equivalence test;
+// the static proof is shape equality, which catches a desync at review
+// time instead of at golden-regeneration time. Operators need no pairs:
+// each crossover and rank-based selector has a single body (CrossInto,
+// SelectScratch) that its allocating entry point wraps. Nor do the
+// island seed splits: WireStreams indexes newDemeStreams' split.
 //
-// The declared pairs mirror the runtime registries in internal/core and
-// internal/island (core.DrawPairs, island.DrawPairs);
-// analysis stays import-decoupled from the product packages, and a sync
-// test in cmd/pgalint asserts the two listings agree. Mismatches are
+// The declared pairs mirror the runtime registry in internal/core
+// (core.DrawPairs); analysis stays import-decoupled from the product
+// packages, and a sync test in cmd/pgalint asserts the two listings
+// agree. Mismatches are
 // reported at both members, in whichever package's pass owns each.
 // Incomplete shapes (recursion, unresolved bodies) and missing nodes
 // skip silently — optimistic like every other rule — except that a pair
@@ -33,17 +33,13 @@ type DrawParityConfig struct {
 }
 
 // DefaultDrawParityConfig lists the repo's equivalence pairs. Keep in
-// sync with the runtime registries (TestDrawPairRegistryMatchesAnalysis
+// sync with the runtime registry (TestDrawPairRegistryMatchesAnalysis
 // in cmd/pgalint enforces it).
 func DefaultDrawParityConfig() DrawParityConfig {
 	return DrawParityConfig{Pairs: []DrawPairSpec{
 		{
 			A: "pga/internal/core.SerialEvaluator.EvaluateAll",
 			B: "pga/internal/core.SerialEvaluator.evaluateBatch",
-		},
-		{
-			A: "pga/internal/island.newDemeStreams",
-			B: "pga/internal/island.WireStreams",
 		},
 	}}
 }
@@ -55,8 +51,8 @@ func DrawParityRule() *Analyzer { return DrawParityWith(DefaultDrawParityConfig(
 func DrawParityWith(cfg DrawParityConfig) *Analyzer {
 	return &Analyzer{
 		Name: "drawparity",
-		Doc: "requires declared equivalence pairs (scalar/batch evaluation, " +
-			"island seed splits) to consume identical symbolic RNG draw shapes",
+		Doc: "requires declared equivalence pairs (scalar/batch evaluation) " +
+			"to consume identical symbolic RNG draw shapes",
 		Run: func(pass *Pass) {
 			if pass.Facts == nil {
 				return

@@ -8,8 +8,8 @@ package analysis
 // summaries use. The drawshape and drawparity rules are built on these:
 // the first proves the PR 8 draw-compatibility contract (no draw may be
 // guarded by genome/population *content*), the second proves declared
-// equivalence pairs (scalar/batch evaluators, the New/WireStreams seed
-// split) consume identical shapes.
+// equivalence pairs (the scalar/batch evaluators) consume identical
+// shapes.
 //
 // The abstraction is deliberately coarse and, like the rest of the suite,
 // optimistic — a shape that cannot be resolved can only suppress findings,

@@ -10,7 +10,7 @@ package analysis
 // with real draws.
 //
 // This file is a pure data transform: cmd/pgalint assembles the inputs
-// from the product registries (core.DrawPairs, island.DrawPairs,
+// from the product registries (core.DrawPairs,
 // operators.RegisteredOperators, equiv.Scenarios), so
 // internal/analysis keeps its no-product-imports layering.
 

@@ -8,14 +8,15 @@ package core
 // dedicated test named by Test. `pgalint -tracecover` audits that every
 // declared pair has one of the two dynamic backings.
 //
-// Each package owning pair members exposes its own DrawPairs() (island
-// and this package); cmd/pgalint takes the union and a sync test there
-// keeps it identical to the analysis-side DefaultDrawParityConfig, so
-// the linter never has to import product packages. Operators declare no
-// pairs: each has a single body behind both of its entry points.
+// The pairs are declared in this package's DrawPairs; cmd/pgalint reads
+// them and a sync test there keeps them identical to the analysis-side
+// DefaultDrawParityConfig, so the linter never has to import product
+// packages. Operators and the island seed split declare no pairs: each
+// has a single body behind both of its entry points (WireStreams indexes
+// the in-process split).
 type DrawPair struct {
 	// A and B are the qualified function names as the call graph renders
-	// them ("pga/internal/island.WireStreams").
+	// them ("pga/internal/core.SerialEvaluator.EvaluateAll").
 	A, B string
 	// Op is the operator type name golden scenarios list ("KPoint"),
 	// empty for non-operator pairs.

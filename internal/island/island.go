@@ -8,7 +8,7 @@
 // periodically exchanges individuals with its topological neighbours under
 // a migration.Policy.
 //
-// Two execution modes are provided:
+// Three runners are provided:
 //
 //   - RunSequential: all demes advance in lockstep inside one goroutine.
 //     Fully deterministic; the numeric experiments use this mode.
@@ -16,14 +16,13 @@
 //     the CSP analogue of the MPI/PVM message passing used by the
 //     libraries in the survey's Table 1. Synchronous policies barrier
 //     every generation; asynchronous policies exchange through bounded
-//     non-blocking buffers (Alba & Troya 2001's async model).
+//     non-blocking buffers (Alba & Troya 2001's async model). Each mode
+//     has one loop, supervised when Config.Resilience is set.
+//   - RunWire: one island per OS process, migration over a real
+//     transport (see wire.go).
 package island
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"pga/internal/core"
 	"pga/internal/engine"
 	"pga/internal/ga"
@@ -31,7 +30,6 @@ import (
 	"pga/internal/rng"
 	"pga/internal/supervise"
 	"pga/internal/topology"
-	"pga/internal/transport"
 )
 
 // Config describes an island-model run.
@@ -56,8 +54,9 @@ type Config struct {
 	// in a deme's step are recovered, crashed demes restart from
 	// periodic checkpoints, hung demes are detected by heartbeat and the
 	// topology is healed around demes that exhaust their restart budget
-	// (see internal/supervise). nil runs unsupervised (a deme panic is a
-	// process panic, exactly as before).
+	// (see internal/supervise). nil runs unsupervised: the same loop with
+	// a nil Supervisor, in which a deme panic is a process panic and a
+	// refused async migrant batch is dropped at once.
 	Resilience *supervise.Config
 	// Faults optionally injects deterministic failures into a supervised
 	// run — the test harness for Resilience. Ignored when Resilience is
@@ -164,10 +163,8 @@ func New(cfg Config) *Model {
 
 // newDemeStreams splits the per-deme RNG streams off the master source:
 // engine stream then migration stream, per deme in id order. WireStreams
-// performs the identical split for one-island-per-process runs, so a
-// wire run reproduces the in-process streams bit-for-bit — the pair is
-// declared in DrawPairs and proven shape-identical by pgalint's
-// drawparity rule.
+// indexes this same split for one-island-per-process runs, so a wire
+// run reproduces the in-process streams bit-for-bit.
 func newDemeStreams(master *rng.Source, n int) (engineRNGs, migRNGs []*rng.Source) {
 	engineRNGs = make([]*rng.Source, n)
 	migRNGs = make([]*rng.Source, n)
@@ -251,10 +248,6 @@ func (m *Model) maybeRewire(epoch int64) bool {
 	return false
 }
 
-// exchange performs one synchronous migration epoch over the configured
-// topology.
-func (m *Model) exchange() int64 { return m.exchangeOn(m.cfg.Topology) }
-
 // exchangeOn performs one synchronous migration epoch over topo: every
 // deme's emigrants are picked from the pre-exchange populations, then
 // delivered. Returns the number of batches sent. Demes with no outgoing
@@ -301,18 +294,6 @@ type modelStepper struct {
 	epochs int64
 }
 
-// migrateDue runs one synchronous migration epoch over topo when the
-// policy is due at gen, counting completed epochs for dynamic rewiring.
-func (s *modelStepper) migrateDue(gen int) (batches int64) {
-	if !s.m.cfg.Policy.Due(gen) {
-		return 0
-	}
-	batches = s.m.exchange()
-	s.epochs++
-	s.m.maybeRewire(s.epochs)
-	return batches
-}
-
 // Best implements engine.Stepper.
 func (s *modelStepper) Best() (*core.Individual, float64) { return s.m.globalBestRef() }
 
@@ -328,12 +309,20 @@ func (s *modelStepper) MeanFitness() float64 { return s.m.meanFitness() }
 // lockstepStepper advances every deme in the calling goroutine.
 type lockstepStepper struct{ modelStepper }
 
-// Step implements engine.Stepper.
+// Step implements engine.Stepper: step every deme, then run one
+// synchronous migration epoch over the configured topology when the
+// policy is due, counting completed epochs for dynamic rewiring.
 func (s *lockstepStepper) Step(gen int) engine.StepInfo {
+	var info engine.StepInfo
 	for _, e := range s.m.engines {
 		e.Step()
 	}
-	return engine.StepInfo{Migrations: s.migrateDue(gen)}
+	if s.m.cfg.Policy.Due(gen) {
+		info.Migrations = s.m.exchangeOn(s.m.cfg.Topology)
+		s.epochs++
+		s.m.maybeRewire(s.epochs)
+	}
+	return info
 }
 
 // RunSequential advances all demes in lockstep until stop fires,
@@ -397,204 +386,28 @@ func (m *Model) finish(res *Result) {
 // deterministic); otherwise demes free-run and exchange migrants through
 // bounded non-blocking channels (migrant arrival order is scheduling
 // dependent — the only permitted nondeterminism in the library).
+//
+// Both modes run one loop whether or not Config.Resilience is set: every
+// deme step goes through a *supervise.Supervisor, nil for an unsupervised
+// run, and migration follows a supervise.Router, which heals the topology
+// around dead demes and otherwise serves it unchanged.
 func (m *Model) RunParallel(maxGens int, trace bool) *Result {
+	var sup *supervise.Supervisor
+	var router *supervise.Router
 	if m.cfg.Resilience != nil {
-		sup := supervise.New(*m.cfg.Resilience, m.cfg.Faults, m.cfg.Topology,
+		sup = supervise.New(*m.cfg.Resilience, m.cfg.Faults, m.cfg.Topology,
 			m.cfg.NewEngine, m.restartRNG)
 		for i := range m.engines {
 			sup.Attach(i, m.engineRNGs[i])
 		}
 		m.sup = sup
 		m.deadPops = make([]*core.Population, len(m.engines))
-		if m.cfg.Policy.Sync {
-			return m.runParallelSyncSupervised(maxGens, trace, sup)
-		}
-		return m.runParallelAsyncSupervised(maxGens, sup)
+		router = sup.Router()
+	} else {
+		router = supervise.NewRouter(m.cfg.Topology)
 	}
 	if m.cfg.Policy.Sync {
-		return m.runParallelSync(maxGens, trace)
+		return m.runParallelSync(maxGens, trace, sup, router)
 	}
-	return m.runParallelAsync(maxGens)
-}
-
-// syncStepper advances every deme behind a per-generation barrier.
-type syncStepper struct{ modelStepper }
-
-// Step implements engine.Stepper.
-func (s *syncStepper) Step(gen int) engine.StepInfo {
-	var wg sync.WaitGroup
-	for _, e := range s.m.engines {
-		wg.Add(1)
-		go func(e ga.Engine) {
-			defer wg.Done()
-			e.Step()
-		}(e)
-	}
-	wg.Wait()
-	return engine.StepInfo{Migrations: s.migrateDue(gen)}
-}
-
-// runParallelSync: barrier per generation, central migration.
-func (m *Model) runParallelSync(maxGens int, trace bool) *Result {
-	res := &Result{}
-	ta, _ := m.problem.(core.TargetAware)
-	totals := engine.Loop(&syncStepper{modelStepper{m: m}}, engine.Options{
-		Stop:        core.MaxGenerations(maxGens),
-		Target:      ta,
-		HaltOnSolve: true,
-		Trace:       trace,
-	}, &res.RunStats)
-	res.Migrations = totals.Migrations
-	m.finish(res)
-	return res
-}
-
-// demeHalt is the per-deme stop condition of the asynchronous modes: a
-// free-running deme leaves its loop when any deme has solved or the
-// generation cap is reached.
-type demeHalt struct {
-	solved *atomic.Bool
-	max    int
-}
-
-// Done implements core.StopCondition.
-func (h demeHalt) Done(s core.Status) bool { return s.Generation >= h.max || h.solved.Load() }
-
-// Reason implements core.StopCondition.
-func (h demeHalt) Reason() string { return "max generations" }
-
-// asyncDeme is one free-running deme's engine.Stepper: evolve, check the
-// deme's own population against the target, then (when the policy is due)
-// emigrate over its transport endpoint and drain its inbox. The global
-// best is computed after the demes join, so its loop runs with SkipBest.
-type asyncDeme struct {
-	m         *Model
-	i         int
-	e         ga.Engine
-	mr        *rng.Source
-	nbrs      []int
-	ep        transport.Endpoint
-	solved    *atomic.Bool
-	solvedGen *atomic.Int64
-	gens      []int
-	ta        core.TargetAware
-}
-
-// Step implements engine.Stepper.
-func (d *asyncDeme) Step(g int) engine.StepInfo {
-	var info engine.StepInfo
-	d.e.Step()
-	d.gens[d.i] = g
-	if d.ta != nil {
-		if f := d.e.Population().BestFitness(d.m.dir); d.ta.Solved(f) {
-			if d.solved.CompareAndSwap(false, true) {
-				d.solvedGen.Store(int64(g))
-			}
-			info.Halt = true
-			return info
-		}
-	}
-	p := d.m.cfg.Policy
-	if p.Due(g) {
-		// Emigrate: best-effort offer of a fresh clone batch per link.
-		// A refused batch (receiver's buffer full) is dropped — never
-		// block evolution (bounded-staleness async model).
-		if len(d.nbrs) > 0 {
-			out := p.Select.Pick(d.e.Population(), d.m.dir, p.Count, d.mr)
-			for _, nbr := range d.nbrs {
-				if d.ep.Send(nbr, migration.CloneBatch(out)) {
-					info.Migrations++
-				}
-			}
-		}
-		// Immigrate: drain whatever has arrived.
-		for {
-			batch, ok := d.ep.Recv()
-			if !ok {
-				break
-			}
-			p.Replace.Integrate(d.e.Population(), d.m.dir, batch, d.mr)
-		}
-	}
-	return info
-}
-
-// Best implements engine.Stepper (unused: the deme loops run SkipBest).
-func (d *asyncDeme) Best() (*core.Individual, float64) { return nil, d.m.dir.Worst() }
-
-// Evaluations implements engine.Stepper.
-func (d *asyncDeme) Evaluations() int64 { return d.e.Evaluations() }
-
-// Direction implements engine.Stepper.
-func (d *asyncDeme) Direction() core.Direction { return d.m.dir }
-
-// runParallelAsync: free-running demes exchanging migrants over
-// in-process loopback transport endpoints, one engine.Loop per deme
-// goroutine. The endpoints are the same seam wire-mode islands run
-// over (internal/transport), with Loopback as the medium.
-func (m *Model) runParallelAsync(maxGens int) *Result {
-	start := time.Now()
-	res := &Result{}
-	ta, _ := m.problem.(core.TargetAware)
-	p := m.cfg.Policy
-	n := len(m.engines)
-
-	eps := transport.NewLoopback(n, p.Buffer)
-	var solved atomic.Bool
-	var solvedGen atomic.Int64
-	gens := make([]int, n)
-	totals := make([]engine.Totals, n)
-
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			d := &asyncDeme{
-				m: m, i: i, e: m.engines[i], mr: m.migRNGs[i],
-				nbrs: m.cfg.Topology.Neighbors(i), ep: eps[i],
-				solved: &solved, solvedGen: &solvedGen, gens: gens, ta: ta,
-			}
-			var stats core.RunStats
-			totals[i] = engine.Loop(d, engine.Options{
-				Stop:     demeHalt{solved: &solved, max: maxGens},
-				SkipBest: true,
-			}, &stats)
-		}(i)
-	}
-	wg.Wait()
-
-	for _, ep := range eps {
-		res.Net.Add(ep.Stats())
-	}
-	m.finishAsync(res, totals, gens, &solved, &solvedGen)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// finishAsync fills a Result after the deme goroutines of an asynchronous
-// run have joined: global best, migration totals, solve point and the
-// maximum per-deme generation.
-func (m *Model) finishAsync(res *Result, totals []engine.Totals, gens []int, solved *atomic.Bool, solvedGen *atomic.Int64) {
-	res.Best, res.BestFitness = m.globalBest()
-	for _, t := range totals {
-		res.Migrations += t.Migrations
-	}
-	res.StopReason = "max generations"
-	if solved.Load() {
-		res.Solved = true
-		// In async mode evaluation counters cannot be snapshotted at the
-		// instant of solving without racing other demes; the post-stop
-		// total is a slight overcount and is documented as such.
-		res.SolvedAtEval = m.totalEvaluations()
-		res.SolvedAtGen = int(solvedGen.Load())
-		res.StopReason = "target reached"
-	}
-	for _, g := range gens {
-		if g > res.Generations {
-			res.Generations = g
-		}
-	}
-	res.Evaluations = m.totalEvaluations()
-	m.finish(res)
+	return m.runParallelAsync(maxGens, sup, router)
 }

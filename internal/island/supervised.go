@@ -14,17 +14,19 @@ import (
 	"pga/internal/transport"
 )
 
-// This file holds the supervised variants of RunParallel — the runtime
-// behind Config.Resilience. They run the same engine.Loop driver as the
-// unsupervised modes but route every deme step through a
-// supervise.Supervisor: panics are recovered into restarts from
+// This file holds RunParallel's two runners, one per migration mode:
+// barriered (sync) and free-running (async). Both run the engine.Loop
+// driver and route every deme step through a supervise.Supervisor. With
+// Config.Resilience set, panics are recovered into restarts from
 // checkpoint, hung steps are abandoned on a heartbeat deadline, and demes
 // that exhaust their restart budget are declared dead, frozen at their
 // last checkpoint and routed around by a healed topology (Gagné et al.'s
 // transparency/robustness/adaptivity at the island level; survey §4).
-// Checkpoint capture itself rides the loop's OnGeneration observer hook —
+// Checkpoint capture rides the loop's OnGeneration observer hook —
 // including the generation-0 hook, which is what checkpoints every deme
-// before the first step.
+// before the first step. An unsupervised run is the same loop with a nil
+// Supervisor: steps run inline, nothing is checkpointed and no deme ever
+// dies, so the Router serves the configured topology unchanged.
 
 // failureKind maps a step outcome to its failure class.
 func failureKind(out supervise.StepOutcome) supervise.FailureKind {
@@ -43,8 +45,8 @@ func (m *Model) retireDeme(i int, frozen *core.Population) {
 	m.deadPops[i] = frozen
 }
 
-// allDead stops a supervised synchronous run when every deme has
-// exhausted its restart budget.
+// allDead stops a synchronous run when every deme has exhausted its
+// restart budget.
 type allDead struct{ router *supervise.Router }
 
 // Done implements core.StopCondition.
@@ -53,64 +55,36 @@ func (a allDead) Done(core.Status) bool { return a.router.AliveCount() == 0 }
 // Reason implements core.StopCondition.
 func (a allDead) Reason() string { return "all demes dead" }
 
-// syncCheckpointer is the OnGeneration observer of the supervised
-// synchronous mode: on every checkpoint-due generation (including
-// generation 0) it snapshots every live deme.
-type syncCheckpointer struct {
-	m      *Model
-	sup    *supervise.Supervisor
-	router *supervise.Router
-}
-
-// OnGeneration implements engine.Observer.
-func (c *syncCheckpointer) OnGeneration(s core.Status) {
-	if !c.sup.CheckpointDue(s.Generation) {
-		return
-	}
-	for i := range c.m.engines {
-		if s.Generation == 0 || c.router.Alive(i) {
-			_ = c.sup.Checkpoint(i, c.m.engines[i].Population(), s.Generation, c.m.engines[i].Evaluations())
-		}
-	}
-}
-
-// OnMigration implements engine.Observer.
-func (c *syncCheckpointer) OnMigration(int, int64) {}
-
-// OnRestart implements engine.Observer.
-func (c *syncCheckpointer) OnRestart(int, int64) {}
-
-// OnDone implements engine.Observer.
-func (c *syncCheckpointer) OnDone(*core.RunStats) {}
-
-// supSyncStepper advances live demes behind a barrier with every step
-// supervised. Failed demes retry the *current* generation after restoring
-// their checkpoint (the barrier cannot roll the other demes back), so a
-// transient fault costs one deme its progress since the last checkpoint
-// and nobody else anything.
-type supSyncStepper struct {
+// syncStepper advances the live demes behind a per-generation barrier,
+// every step supervised. Failed demes retry the *current* generation
+// after restoring their checkpoint (the barrier cannot roll the other
+// demes back), so a transient fault costs one deme its progress since the
+// last checkpoint and nobody else anything. It is also the run's
+// engine.Observer, checkpointing every live deme on checkpoint-due
+// generations.
+type syncStepper struct {
 	modelStepper
 	sup      *supervise.Supervisor
 	router   *supervise.Router
 	outcomes []supervise.StepOutcome
+	wg       sync.WaitGroup
 }
 
 // Step implements engine.Stepper.
-func (s *supSyncStepper) Step(g int) engine.StepInfo {
+func (s *syncStepper) Step(g int) engine.StepInfo {
 	m := s.m
 	var info engine.StepInfo
-	var wg sync.WaitGroup
 	for i := range m.engines {
 		if !s.router.Alive(i) {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, e ga.Engine) {
-			defer wg.Done()
-			s.outcomes[i] = s.sup.RunStep(i, g, e)
-		}(i, m.engines[i])
+		s.wg.Add(1)
+		go func(i int) {
+			defer s.wg.Done()
+			s.outcomes[i] = s.sup.RunStep(i, g, s.m.engines[i])
+		}(i)
 	}
-	wg.Wait()
+	s.wg.Wait()
 
 	// Serial recovery pass, deme order: restore-and-retry the failed
 	// generation until it completes or the deme's budget runs out.
@@ -140,13 +114,34 @@ func (s *supSyncStepper) Step(g int) engine.StepInfo {
 	return info
 }
 
-// runParallelSyncSupervised: barrier per generation, central migration
-// over the healed topology, checkpoints via the observer hook.
-func (m *Model) runParallelSyncSupervised(maxGens int, trace bool, sup *supervise.Supervisor) *Result {
+// OnGeneration implements engine.Observer: on every checkpoint-due
+// generation (including generation 0) it snapshots every live deme.
+func (s *syncStepper) OnGeneration(st core.Status) {
+	if !s.sup.CheckpointDue(st.Generation) {
+		return
+	}
+	for i, e := range s.m.engines {
+		if st.Generation == 0 || s.router.Alive(i) {
+			_ = s.sup.Checkpoint(i, e.Population(), st.Generation, e.Evaluations())
+		}
+	}
+}
+
+// OnMigration implements engine.Observer.
+func (s *syncStepper) OnMigration(int, int64) {}
+
+// OnRestart implements engine.Observer.
+func (s *syncStepper) OnRestart(int, int64) {}
+
+// OnDone implements engine.Observer.
+func (s *syncStepper) OnDone(*core.RunStats) {}
+
+// runParallelSync: barrier per generation, central migration over the
+// router's (healed) topology, checkpoints via the observer hook.
+func (m *Model) runParallelSync(maxGens int, trace bool, sup *supervise.Supervisor, router *supervise.Router) *Result {
 	res := &Result{}
 	ta, _ := m.problem.(core.TargetAware)
-	router := sup.Router()
-	st := &supSyncStepper{
+	st := &syncStepper{
 		modelStepper: modelStepper{m: m},
 		sup:          sup,
 		router:       router,
@@ -157,12 +152,26 @@ func (m *Model) runParallelSyncSupervised(maxGens int, trace bool, sup *supervis
 		Target:      ta,
 		HaltOnSolve: true,
 		Trace:       trace,
-		Observers:   []engine.Observer{&syncCheckpointer{m: m, sup: sup, router: router}},
+		Observers:   []engine.Observer{st},
 	}, &res.RunStats)
 	res.Migrations = totals.Migrations
 	m.finish(res)
 	return res
 }
+
+// demeHalt is the per-deme stop condition of the asynchronous mode: a
+// free-running deme leaves its loop when any deme has solved or the
+// generation cap is reached.
+type demeHalt struct {
+	solved *atomic.Bool
+	max    int
+}
+
+// Done implements core.StopCondition.
+func (h demeHalt) Done(s core.Status) bool { return s.Generation >= h.max || h.solved.Load() }
+
+// Reason implements core.StopCondition.
+func (h demeHalt) Reason() string { return "max generations" }
 
 // pendingBatch is an undelivered async migrant batch awaiting retry.
 type pendingBatch struct {
@@ -171,13 +180,17 @@ type pendingBatch struct {
 	attempts int
 }
 
-// supAsyncDeme is one supervised free-running deme's engine.Stepper: a
-// failed step restores the deme's checkpoint and rewinds the loop to the
+// asyncDeme is one free-running deme's engine.Stepper: evolve, check the
+// deme's own population against the target, then (when the policy is
+// due) emigrate over its transport endpoint and drain its inbox. A failed
+// step restores the deme's checkpoint and rewinds the loop to the
 // checkpointed generation (re-doing the lost work), and a dead deme halts
 // its loop while the survivors route around it. Undeliverable migrant
-// batches are retried on later epochs and dead-lettered after their retry
-// budget instead of being dropped silently.
-type supAsyncDeme struct {
+// batches are retried on later epochs and dead-lettered after maxRetries
+// (0 in an unsupervised run: a refused batch is dropped at once, never
+// blocking evolution). The global best is computed after the demes join,
+// so its loop runs with SkipBest.
+type asyncDeme struct {
 	m          *Model
 	i          int
 	e          ga.Engine
@@ -196,7 +209,7 @@ type supAsyncDeme struct {
 
 // deliver attempts one best-effort endpoint send, dead-lettering
 // batches whose receiver died or whose retries ran out.
-func (d *supAsyncDeme) deliver(pb pendingBatch) {
+func (d *asyncDeme) deliver(pb pendingBatch) {
 	if !d.router.Alive(pb.dest) {
 		d.sup.DeadLetter(1)
 		return
@@ -215,7 +228,7 @@ func (d *supAsyncDeme) deliver(pb pendingBatch) {
 }
 
 // Step implements engine.Stepper.
-func (d *supAsyncDeme) Step(g int) engine.StepInfo {
+func (d *asyncDeme) Step(g int) engine.StepInfo {
 	var info engine.StepInfo
 	out := d.sup.RunStep(d.i, g, d.e)
 	if out.Status != supervise.StepOK {
@@ -273,52 +286,56 @@ func (d *supAsyncDeme) Step(g int) engine.StepInfo {
 }
 
 // Best implements engine.Stepper (unused: the deme loops run SkipBest).
-func (d *supAsyncDeme) Best() (*core.Individual, float64) { return nil, d.m.dir.Worst() }
+func (d *asyncDeme) Best() (*core.Individual, float64) { return nil, d.m.dir.Worst() }
 
 // Evaluations implements engine.Stepper.
-func (d *supAsyncDeme) Evaluations() int64 { return d.e.Evaluations() }
+func (d *asyncDeme) Evaluations() int64 { return d.e.Evaluations() }
 
 // Direction implements engine.Stepper.
-func (d *supAsyncDeme) Direction() core.Direction { return d.m.dir }
+func (d *asyncDeme) Direction() core.Direction { return d.m.dir }
 
 // OnGeneration implements engine.Observer: the deme checkpoints itself on
 // every checkpoint-due generation, including generation 0 before the
 // first step (rewound restart iterations never reach this hook, so a
 // restart does not re-checkpoint the restored state).
-func (d *supAsyncDeme) OnGeneration(s core.Status) {
+func (d *asyncDeme) OnGeneration(s core.Status) {
 	if d.sup.CheckpointDue(s.Generation) {
 		_ = d.sup.Checkpoint(d.i, d.e.Population(), s.Generation, d.e.Evaluations())
 	}
 }
 
 // OnMigration implements engine.Observer.
-func (d *supAsyncDeme) OnMigration(int, int64) {}
+func (d *asyncDeme) OnMigration(int, int64) {}
 
 // OnRestart implements engine.Observer.
-func (d *supAsyncDeme) OnRestart(int, int64) {}
+func (d *asyncDeme) OnRestart(int, int64) {}
 
 // OnDone implements engine.Observer: batches still pending when the
 // worker exits — run over, deme solved, or deme dead — are lost traffic:
 // dead-letter them so the counters account for every batch that never
 // arrived.
-func (d *supAsyncDeme) OnDone(*core.RunStats) {
+func (d *asyncDeme) OnDone(*core.RunStats) {
 	for range d.pending {
 		d.sup.DeadLetter(1)
 	}
 	d.pending = nil
 }
 
-// runParallelAsyncSupervised: free-running supervised demes, one
-// engine.Loop per deme goroutine with the deme itself as the
-// checkpoint/dead-letter observer.
-func (m *Model) runParallelAsyncSupervised(maxGens int, sup *supervise.Supervisor) *Result {
+// runParallelAsync: free-running demes exchanging migrants over
+// in-process loopback transport endpoints (the same seam wire-mode
+// islands run over, with Loopback as the medium), one engine.Loop per
+// deme goroutine with the deme itself as the checkpoint/dead-letter
+// observer.
+func (m *Model) runParallelAsync(maxGens int, sup *supervise.Supervisor, router *supervise.Router) *Result {
 	start := time.Now()
 	res := &Result{}
 	ta, _ := m.problem.(core.TargetAware)
 	p := m.cfg.Policy
 	n := len(m.engines)
-	router := sup.Router()
-	maxRetries := sup.Config().MaxSendRetries
+	maxRetries := 0
+	if sup != nil {
+		maxRetries = sup.Config().MaxSendRetries
+	}
 
 	eps := transport.NewLoopback(n, p.Buffer)
 	var solved atomic.Bool
@@ -331,7 +348,7 @@ func (m *Model) runParallelAsyncSupervised(maxGens int, sup *supervise.Superviso
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d := &supAsyncDeme{
+			d := &asyncDeme{
 				m: m, i: i, e: m.engines[i], mr: m.migRNGs[i],
 				ep: eps[i], sup: sup, router: router, maxRetries: maxRetries,
 				solved: &solved, solvedGen: &solvedGen, gens: gens, ta: ta,
@@ -352,4 +369,31 @@ func (m *Model) runParallelAsyncSupervised(maxGens int, sup *supervise.Superviso
 	m.finishAsync(res, totals, gens, &solved, &solvedGen)
 	res.Elapsed = time.Since(start)
 	return res
+}
+
+// finishAsync fills a Result after the deme goroutines of an asynchronous
+// run have joined: global best, migration totals, solve point and the
+// maximum per-deme generation.
+func (m *Model) finishAsync(res *Result, totals []engine.Totals, gens []int, solved *atomic.Bool, solvedGen *atomic.Int64) {
+	res.Best, res.BestFitness = m.globalBest()
+	for _, t := range totals {
+		res.Migrations += t.Migrations
+	}
+	res.StopReason = "max generations"
+	if solved.Load() {
+		res.Solved = true
+		// In async mode evaluation counters cannot be snapshotted at the
+		// instant of solving without racing other demes; the post-stop
+		// total is a slight overcount and is documented as such.
+		res.SolvedAtEval = m.totalEvaluations()
+		res.SolvedAtGen = int(solvedGen.Load())
+		res.StopReason = "target reached"
+	}
+	for _, g := range gens {
+		if g > res.Generations {
+			res.Generations = g
+		}
+	}
+	res.Evaluations = m.totalEvaluations()
+	m.finish(res)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pga/internal/core"
 	"pga/internal/ga"
 	"pga/internal/migration"
 	"pga/internal/operators"
@@ -73,23 +74,33 @@ func TestSupervisedAcceptance(t *testing.T) {
 }
 
 // TestSupervisedSyncMatchesUnsupervisedWhenFaultFree pins the zero-cost
-// property: with no faults and no heartbeat, the supervised sync-parallel
-// run performs the identical computation to the unsupervised one.
+// property on a ring and on the degenerate one-deme ring and two-deme
+// bi-ring: with no faults and no heartbeat, the lockstep sequential run,
+// the unsupervised sync-parallel run and the supervised sync-parallel
+// run perform the identical computation, migrations included.
 func TestSupervisedSyncMatchesUnsupervisedWhenFaultFree(t *testing.T) {
-	mk := func(res *supervise.Config) *Model {
-		return New(Config{
-			Topology:   topology.Ring(3),
-			Policy:     migration.Policy{Interval: 4, Count: 1, Sync: true},
-			NewEngine:  onemaxEngines(256, 16),
-			Seed:       13,
-			Resilience: res,
-		})
-	}
-	plain := mk(nil).RunParallel(25, false)
-	sup := mk(&supervise.Config{}).RunParallel(25, false)
-	if plain.BestFitness != sup.BestFitness || plain.Evaluations != sup.Evaluations {
-		t.Fatalf("supervised (%v, %d evals) != unsupervised (%v, %d evals)",
-			sup.BestFitness, sup.Evaluations, plain.BestFitness, plain.Evaluations)
+	for _, topo := range []topology.Topology{topology.Ring(3), topology.BiRing(2), topology.Ring(1)} {
+		mk := func(res *supervise.Config) *Model {
+			return New(Config{
+				Topology:   topo,
+				Policy:     migration.Policy{Interval: 4, Count: 1, Sync: true},
+				NewEngine:  onemaxEngines(256, 16),
+				Seed:       13,
+				Resilience: res,
+			})
+		}
+		seq := mk(nil).RunSequential(core.MaxGenerations(25), false)
+		runs := map[string]*Result{
+			"unsupervised": mk(nil).RunParallel(25, false),
+			"supervised":   mk(&supervise.Config{}).RunParallel(25, false),
+		}
+		for name, r := range runs {
+			if r.BestFitness != seq.BestFitness || r.Evaluations != seq.Evaluations || r.Migrations != seq.Migrations {
+				t.Errorf("%s(%d): %s (%v, %d evals, %d migrations) != sequential (%v, %d evals, %d migrations)",
+					topo.Name(), topo.Size(), name, r.BestFitness, r.Evaluations, r.Migrations,
+					seq.BestFitness, seq.Evaluations, seq.Migrations)
+			}
+		}
 	}
 }
 

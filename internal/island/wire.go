@@ -59,21 +59,14 @@ type WireConfig struct {
 	Observers []engine.Observer
 }
 
-// WireStreams splits the master seed exactly the way the in-process
-// model's New does — engine stream then migration stream, per deme in
-// id order — and returns island self's pair. A wire run over n islands
+// WireStreams performs the in-process model's split of the master seed
+// (newDemeStreams: engine stream then migration stream, per deme in id
+// order) and returns island self's pair. A wire run over n islands
 // with seed s therefore gives every island the same private streams its
 // deme would have had in-process.
 func WireStreams(seed uint64, n, self int) (engineRNG, migRNG *rng.Source) {
-	master := rng.New(seed)
-	for i := 0; i < n; i++ {
-		er := master.Split()
-		mr := master.Split()
-		if i == self {
-			engineRNG, migRNG = er, mr
-		}
-	}
-	return engineRNG, migRNG
+	engineRNGs, migRNGs := newDemeStreams(rng.New(seed), n)
+	return engineRNGs[self], migRNGs[self]
 }
 
 // wireDeme is the engine.Stepper of one wire-mode island.
@@ -95,9 +88,6 @@ func (d *wireDeme) Step(g int) engine.StepInfo {
 		if len(nbrs) > 0 {
 			out := p.Select.Pick(d.e.Population(), d.dir, p.Count, d.cfg.MigRNG)
 			for _, nbr := range nbrs {
-				if nbr == d.cfg.Self {
-					continue
-				}
 				if d.cfg.Endpoint.Send(nbr, migration.CloneBatch(out)) {
 					info.Migrations++
 				}

@@ -173,6 +173,12 @@ type demeState struct {
 // Supervisor runs the demes of one island run under supervision. It is
 // created per run (it accumulates counters and consumes the fault plan)
 // and is safe for concurrent use by the deme worker goroutines.
+//
+// A nil *Supervisor is the no-op supervisor of an unsupervised run, as a
+// nil *FaultPlan is the empty plan: RunStep steps the engine inline with
+// no recover (a deme panic stays a process panic), CheckpointDue is
+// always false and DeadLetter counts nothing. Its other methods must not
+// be called.
 type Supervisor struct {
 	cfg       Config
 	plan      *FaultPlan
@@ -240,17 +246,22 @@ func (s *Supervisor) Checkpoint(i int, pop *core.Population, gen int, evals int6
 }
 
 // CheckpointDue reports whether generation gen is a checkpoint
-// generation.
+// generation (never, on a nil supervisor).
 func (s *Supervisor) CheckpointDue(gen int) bool {
-	return gen%s.cfg.CheckpointEvery == 0
+	return s != nil && gen%s.cfg.CheckpointEvery == 0
 }
 
 // RunStep executes one supervised step of deme i at generation gen on e:
 // scripted faults are injected, panics recovered, and — when a heartbeat
 // deadline is configured — the step is abandoned if it overruns. After a
 // StepTimedOut outcome the engine e must be discarded: the abandoned
-// goroutine may still be mutating it.
+// goroutine may still be mutating it. On a nil supervisor it is a plain
+// e.Step(): nothing is injected and a panic propagates.
 func (s *Supervisor) RunStep(i, gen int, e ga.Engine) StepOutcome {
+	if s == nil {
+		e.Step()
+		return StepOutcome{Status: StepOK}
+	}
 	step := func() (out StepOutcome) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -360,8 +371,13 @@ func (s *Supervisor) ResumeGen(i int) int {
 	return s.demes[i].cp.Generation
 }
 
-// DeadLetter counts n undeliverable migrant batches.
-func (s *Supervisor) DeadLetter(n int64) { s.deadLettered.Add(n) }
+// DeadLetter counts n undeliverable migrant batches (a no-op on a nil
+// supervisor).
+func (s *Supervisor) DeadLetter(n int64) {
+	if s != nil {
+		s.deadLettered.Add(n)
+	}
+}
 
 // Restarts returns the number of deme restarts performed.
 func (s *Supervisor) Restarts() int64 { return s.restarts.Load() }

@@ -81,6 +81,34 @@ func TestFaultPlanNilSafe(t *testing.T) {
 	p.apply(0, 1) // must not panic
 }
 
+// stepCounter counts the Step calls reaching a wrapped engine.
+type stepCounter struct {
+	ga.Engine
+	steps int
+}
+
+func (c *stepCounter) Step() { c.steps++; c.Engine.Step() }
+
+// TestNilSupervisorIsNoOp pins the unsupervised runtime: a nil
+// supervisor steps the engine once per RunStep, never checkpoints and
+// ignores dead letters.
+func TestNilSupervisorIsNoOp(t *testing.T) {
+	var s *Supervisor
+	e := &stepCounter{Engine: testFactory(16, 6)(0, rng.New(1))}
+	if out := s.RunStep(0, 1, e); out.Status != StepOK || out.Err != nil {
+		t.Fatalf("RunStep = %+v, want StepOK", out)
+	}
+	if e.steps != 1 {
+		t.Fatalf("RunStep stepped the engine %d times, want 1", e.steps)
+	}
+	for gen := 0; gen <= 100; gen++ {
+		if s.CheckpointDue(gen) {
+			t.Fatalf("CheckpointDue(%d) = true on a nil supervisor", gen)
+		}
+	}
+	s.DeadLetter(3) // must not panic
+}
+
 func TestRouterHealsRingAroundDeadDeme(t *testing.T) {
 	r := NewRouter(topology.Ring(4)) // 0→1→2→3→0
 	r.MarkDead(2)

@@ -44,20 +44,22 @@ func Isolated(n int) Topology {
 	return &static{name: "isolated", adj: make([][]int, n)}
 }
 
-// Ring returns a unidirectional ring: deme i sends to (i+1) mod n.
+// Ring returns a unidirectional ring: deme i sends to (i+1) mod n (a
+// one-deme ring has no links).
 func Ring(n int) Topology {
 	adj := make([][]int, n)
 	for i := range adj {
-		adj[i] = []int{(i + 1) % n}
+		adj[i] = appendUnique(nil, i, (i+1)%n)
 	}
 	return &static{name: "ring", adj: adj}
 }
 
-// BiRing returns a bidirectional ring: deme i sends to both neighbours.
+// BiRing returns a bidirectional ring: deme i sends to both neighbours
+// (one link on a two-deme ring, none on a one-deme ring).
 func BiRing(n int) Topology {
 	adj := make([][]int, n)
 	for i := range adj {
-		adj[i] = []int{(i + 1) % n, (i + n - 1) % n}
+		adj[i] = appendUnique(nil, i, (i+1)%n, (i+n-1)%n)
 	}
 	return &static{name: "bi-ring", adj: adj}
 }
@@ -164,8 +166,8 @@ func RandomRegular(n, k int, seed uint64) Topology {
 }
 
 // appendUnique appends values not already present, dropping self-loops
-// (handles torus self/dup links on 1- or 2-wide dimensions; self is the
-// deme's own index).
+// (handles the self/dup links of small rings and of torus dimensions 1
+// or 2 wide; self is the deme's own index).
 func appendUnique(s []int, self int, vals ...int) []int {
 	for _, v := range vals {
 		if v == self {

@@ -261,3 +261,36 @@ func TestValidatePropertyRandomSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSmallTopologiesHaveNoSelfLoopsOrDuplicates builds every
+// constructor at 1–6 demes: no deme may list itself, and no neighbour
+// list may name a deme twice (a one-deme ring is linkless, a two-deme
+// bi-ring has one link per deme).
+func TestSmallTopologiesHaveNoSelfLoopsOrDuplicates(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		tops := []Topology{
+			Isolated(n), Ring(n), BiRing(n), Star(n), Complete(n),
+			Grid(1, n), Grid(n, 1), Torus(1, n), Torus(n, 1),
+			RandomRegular(n, n-1, uint64(n)),
+			NewDynamic(func(seed uint64) Topology { return RandomRegular(n, n-1, seed) }, 1),
+		}
+		if n%2 == 0 {
+			tops = append(tops, Grid(2, n/2), Torus(2, n/2))
+		}
+		if n&(n-1) == 0 {
+			d := 0
+			for 1<<uint(d) < n {
+				d++
+			}
+			tops = append(tops, Hypercube(d))
+		}
+		for _, tp := range tops {
+			if tp.Size() != n {
+				t.Fatalf("%s: size %d, want %d", tp.Name(), tp.Size(), n)
+			}
+			if err := Validate(tp); err != nil {
+				t.Errorf("n=%d: %v", n, err)
+			}
+		}
+	}
+}
