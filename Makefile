@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench perf lint tracecover fuzz sweep-smoke
+.PHONY: all build test race bench perf lint fuzz sweep-smoke
 
 all: build lint test
 
@@ -44,17 +44,6 @@ lint:
 	$(GO) run ./cmd/pgalint -time -deadline 60s -rulebudget 20s -baseline lint-baseline.txt ./...
 	$(GO) vet ./...
 	$(GO) vet -copylocks -unusedresult ./...
-
-# Golden-trace coverage audit: every declared RNG-draw equivalence pair
-# (core.DrawPairs) must be exercised by a pinned golden
-# scenario or a dedicated equivalence test. Writes the markdown report
-# to tracecover.md (uploaded as a CI artifact) and fails on uncovered
-# pairs.
-# (No pipe to tee: a pipeline would report tee's exit status, not the
-# audit's.)
-tracecover:
-	$(GO) run ./cmd/pgalint -tracecover > tracecover.md || { cat tracecover.md; exit 1; }
-	cat tracecover.md
 
 # Short local fuzz passes for the property-tested surfaces: the persist
 # wire decoder, the packed BitString vs its []bool reference model, and

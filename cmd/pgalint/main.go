@@ -4,9 +4,8 @@
 //
 // Usage:
 //
-//	pgalint [-json] [-sarif] [-graph] [-rules] [-tracecover] [-time]
-//	        [-deadline d] [-rulebudget d] [-timemd file] [-baseline file]
-//	        [packages]
+//	pgalint [-json] [-sarif] [-graph] [-rules] [-time] [-deadline d]
+//	        [-rulebudget d] [-timemd file] [-baseline file] [packages]
 //
 // With no arguments it lints every package of the enclosing module
 // (equivalent to ./...). Package patterns are module-relative:
@@ -18,13 +17,6 @@
 // -graph skips linting entirely and dumps the interprocedural call
 // graph (functions, closures, call/spawn/ref edges) as JSON — the same
 // graph the summary engine propagates effect facts over.
-//
-// -tracecover skips linting and audits the golden-trace coverage of the
-// declared RNG-draw equivalence pairs: every pair (core.DrawPairs) must
-// be backed by a pinned golden scenario or by a
-// dedicated equivalence test. The report also lists the registered
-// operators no golden scenario exercises. The report is markdown (JSON
-// with -json); uncovered pairs exit 1.
 //
 // -sarif emits findings as a SARIF 2.1.0 log for GitHub code scanning;
 // -time reports per-rule wall time on stderr; -deadline fails the run
@@ -74,9 +66,8 @@ func main() {
 	ruleBudget := flag.Duration("rulebudget", 0, "fail if any single rule exceeds this duration (0 = no budget)")
 	timeMD := flag.String("timemd", "", "append the per-rule timing table as markdown to this file")
 	baseline := flag.String("baseline", "", "suppression-ratchet file: fail if //pgalint:ignore count exceeds it")
-	traceCover := flag.Bool("tracecover", false, "audit golden-trace coverage of the equivalence pairs and exit (markdown, or JSON with -json)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pgalint [-json] [-sarif] [-graph] [-rules] [-tracecover] [-time] [-deadline d] [-rulebudget d] [-timemd file] [-baseline file] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: pgalint [-json] [-sarif] [-graph] [-rules] [-time] [-deadline d] [-rulebudget d] [-timemd file] [-baseline file] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -85,23 +76,6 @@ func main() {
 	if *rules {
 		for _, a := range registry {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	if *traceCover {
-		rep := buildTraceCover()
-		if *jsonOut {
-			data, err := rep.JSON()
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%s\n", data)
-		} else {
-			fmt.Print(rep.Markdown())
-		}
-		if rep.Failed() {
-			os.Exit(1)
 		}
 		return
 	}

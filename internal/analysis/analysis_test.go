@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -38,7 +39,6 @@ var fixturePkgPaths = map[string]string{
 	"chantopo_ok.go":      "pga/internal/island",
 	"bareignore.go":       "pga/internal/ga",
 	"goroleak_x.go":       "pga/internal/cluster",
-	"goroleak_alias.go":   "pga/internal/cluster",
 	"lockorder_bad.go":    "pga/internal/lockfix",
 	"lockorder_ok.go":     "pga/internal/lockfix",
 	"lockorder_x.go":      "pga/internal/lockfix",
@@ -165,6 +165,22 @@ func loadFixture(t *testing.T, name string) *Package {
 	return loadFixtureAs(t, name, pkgPath)
 }
 
+// loadAllFixtures loads every fixture under its default import path, in
+// name order — the whole-suite view the golden files record.
+func loadAllFixtures(t *testing.T) ([]string, []*Package) {
+	t.Helper()
+	names := make([]string, 0, len(fixturePkgPaths))
+	for n := range fixturePkgPaths {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	pkgs := make([]*Package, 0, len(names))
+	for _, n := range names {
+		pkgs = append(pkgs, loadFixture(t, n))
+	}
+	return names, pkgs
+}
+
 // runFixture runs one analyzer over one fixture and its aux packages.
 func runFixture(t *testing.T, a *Analyzer, name string) []Diagnostic {
 	t.Helper()
@@ -192,6 +208,24 @@ func wantLines(t *testing.T, name, rule string) map[int]bool {
 		}
 	}
 	return want
+}
+
+// fixtureFuncAt names the function or method of fixture whose
+// declaration spans line, or "" when the line sits outside every
+// function. Methods are qualified by receiver type.
+func fixtureFuncAt(t *testing.T, fixture string, line int) string {
+	t.Helper()
+	for _, decl := range parseFixture(t, fixture).Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fixtureFset.Position(fd.Pos()).Line > line || line > fixtureFset.Position(fd.End()).Line {
+			continue
+		}
+		if fd.Recv != nil && len(fd.Recv.List) == 1 {
+			return types.ExprString(fd.Recv.List[0].Type) + "." + fd.Name.Name
+		}
+		return fd.Name.Name
+	}
+	return ""
 }
 
 // checkRule asserts that analyzer a reports on exactly the lines marked
@@ -225,6 +259,53 @@ func checkRule(t *testing.T, a *Analyzer, fixture string) {
 	for _, d := range diags {
 		if !want[d.File][d.Line] {
 			t.Errorf("%s:%d: unexpected finding: %s", d.File, d.Line, d)
+		}
+	}
+}
+
+// TestEveryRuleOwnsAFixture keeps one rule per property: every
+// registered rule has at least one `// want <rule>` line in a fixture
+// function where no other registered rule, at its default configuration,
+// reports anything. A rule whose every seeded violation another rule
+// also flags is a candidate for retirement into that rule (as ctxleak
+// went into goroleak and sharedrng into rngflow).
+func TestEveryRuleOwnsAFixture(t *testing.T) {
+	names, pkgs := loadAllFixtures(t)
+	registry := Registry()
+	registered := map[string]bool{}
+	for _, a := range registry {
+		registered[a.Name] = true
+	}
+	// reporters maps "fixture:function" to the rules reporting there.
+	reporters := map[string]map[string]bool{}
+	for _, d := range RunAnalyzers("", pkgs, registry) {
+		if !registered[d.Rule] {
+			continue // the ignore-justification check is not a rule
+		}
+		file := filepath.Base(d.File)
+		key := file + ":" + fixtureFuncAt(t, file, d.Line)
+		if reporters[key] == nil {
+			reporters[key] = map[string]bool{}
+		}
+		reporters[key][d.Rule] = true
+	}
+	for _, a := range registry {
+		owned := false
+		for _, n := range names {
+			for line := range wantLines(t, n, a.Name) {
+				fn := fixtureFuncAt(t, n, line)
+				shared := fn == ""
+				for r := range reporters[n+":"+fn] {
+					if r != a.Name {
+						shared = true
+					}
+				}
+				owned = owned || !shared
+			}
+		}
+		if !owned {
+			t.Errorf("rule %s owns no fixture: every function with a `// want %s` line also draws another rule's finding",
+				a.Name, a.Name)
 		}
 	}
 }
@@ -303,12 +384,14 @@ func TestPathMatch(t *testing.T) {
 	}
 }
 
-// TestRepositoryIsClean is the same gate CI runs via `go run
-// ./cmd/pgalint ./...`: the module itself must satisfy its own
-// determinism and concurrency contracts (modulo justified ignores).
-func TestRepositoryIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module type check in -short mode")
+// repoModule caches the module load shared by the whole-module tests.
+var repoModule *Module
+
+// loadRepoModule type-checks the enclosing module once per test binary.
+func loadRepoModule(t *testing.T) *Module {
+	t.Helper()
+	if repoModule != nil {
+		return repoModule
 	}
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -318,6 +401,18 @@ func TestRepositoryIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	repoModule = mod
+	return mod
+}
+
+// TestRepositoryIsClean is the same gate CI runs via `go run
+// ./cmd/pgalint ./...`: the module itself must satisfy its own
+// determinism and concurrency contracts (modulo justified ignores).
+func TestRepositoryIsClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-module type check in -short mode")
+	}
+	mod := loadRepoModule(t)
 	for _, pkg := range mod.Pkgs {
 		for _, te := range pkg.TypeErrors {
 			t.Errorf("%s: type error: %v", pkg.Path, te)
@@ -338,14 +433,7 @@ func TestAllowlistsNameDeclaredFunctions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type check in -short mode")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := loadRepoModule(t)
 	declared := map[string]bool{}
 	for _, pkg := range mod.Pkgs {
 		for _, file := range pkg.Files {
@@ -371,18 +459,40 @@ func TestAllowlistsNameDeclaredFunctions(t *testing.T) {
 	}
 }
 
+// TestIgnoreDirectivesNameRegisteredRules keeps suppressions live: every
+// rule a //pgalint:ignore directive in the module names must be in the
+// registry (or be "all"). A directive naming a retired rule suppresses
+// nothing, yet still counts toward the lint-baseline.txt ratchet.
+func TestIgnoreDirectivesNameRegisteredRules(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-module type check in -short mode")
+	}
+	mod := loadRepoModule(t)
+	known := map[string]bool{"all": true}
+	for _, a := range Registry() {
+		known[a.Name] = true
+	}
+	// The suppression index itself: what it holds is what suppresses.
+	// Each directive covers its own line and the next, so a dead name is
+	// reported twice.
+	for _, pkg := range mod.Pkgs {
+		for file, lines := range buildIgnoreIndex(pkg.Fset, pkg.Files) {
+			for line, rules := range lines {
+				for r := range rules {
+					if !known[r] {
+						t.Errorf("%s:%d: //pgalint:ignore names unregistered rule %q", file, line, r)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestLoadModuleShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type check in -short mode")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := loadRepoModule(t)
 	if mod.Path != "pga" {
 		t.Fatalf("module path = %q, want pga", mod.Path)
 	}

@@ -4,27 +4,27 @@ package analysis
 // symbolic draw shapes. The repo substitutes one member of a pair for
 // the other (the scalar vs batched evaluator path), and the substitution
 // is sound only when both members consume the same RNG draw sequence.
-// The dynamic proof is a golden trace or a dedicated equivalence test;
-// the static proof is shape equality, which catches a desync at review
-// time instead of at golden-regeneration time. Operators need no pairs:
-// each crossover and rank-based selector has a single body (CrossInto,
-// SelectScratch) that its allocating entry point wraps. Nor do the
-// island seed splits: WireStreams indexes newDemeStreams' split.
+// The dynamic proof is the dedicated equivalence test each pair names
+// (TestDrawPairTestsExist keeps the name live); the static proof is
+// shape equality, which catches a desync at review time instead of at
+// golden-regeneration time. Operators need no pairs: each crossover and
+// rank-based selector has a single body (CrossInto, SelectScratch) that
+// its allocating entry point wraps. Nor do the island seed splits:
+// WireStreams indexes newDemeStreams' split.
 //
-// The declared pairs mirror the runtime registry in internal/core
-// (core.DrawPairs); analysis stays import-decoupled from the product
-// packages, and a sync test in cmd/pgalint asserts the two listings
-// agree. Mismatches are
-// reported at both members, in whichever package's pass owns each.
-// Incomplete shapes (recursion, unresolved bodies) and missing nodes
-// skip silently — optimistic like every other rule — except that a pair
-// with exactly one member present is reported: it means a rename or
-// deletion left a dangling declaration.
+// Mismatches are reported at both members, in whichever package's pass
+// owns each. Incomplete shapes (recursion, unresolved bodies) and
+// missing nodes skip silently — optimistic like every other rule —
+// except that a pair with exactly one member present is reported: it
+// means a rename or deletion left a dangling declaration.
 
-// DrawPairSpec names the two members of one equivalence pair by their
-// qualified node names.
+// DrawPairSpec declares one equivalence pair by its members' qualified
+// node names.
 type DrawPairSpec struct {
 	A, B string
+	// Test names the dedicated equivalence test, in A's package, that
+	// pins the pair dynamically.
+	Test string
 }
 
 // DrawParityConfig parameterizes drawparity.
@@ -32,14 +32,16 @@ type DrawParityConfig struct {
 	Pairs []DrawPairSpec
 }
 
-// DefaultDrawParityConfig lists the repo's equivalence pairs. Keep in
-// sync with the runtime registry (TestDrawPairRegistryMatchesAnalysis
-// in cmd/pgalint enforces it).
+// DefaultDrawParityConfig is the repo's registry of equivalence pairs.
 func DefaultDrawParityConfig() DrawParityConfig {
 	return DrawParityConfig{Pairs: []DrawPairSpec{
+		// SerialEvaluator dispatches to the batched path whenever the
+		// problem implements BatchProblem; both paths are draw-free and
+		// must stay so.
 		{
-			A: "pga/internal/core.SerialEvaluator.EvaluateAll",
-			B: "pga/internal/core.SerialEvaluator.evaluateBatch",
+			A:    "pga/internal/core.SerialEvaluator.EvaluateAll",
+			B:    "pga/internal/core.SerialEvaluator.evaluateBatch",
+			Test: "TestSerialEvaluatorBatchMatchesScalar",
 		},
 	}}
 }

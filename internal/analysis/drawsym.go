@@ -16,11 +16,11 @@ package analysis
 // never invent them:
 //
 //   - A *draw site* is a method call on an identifier whose type is an
-//     RNG stream (isRNGStream, shared with sharedrng). The term's kind is
-//     the method name with the Into-variants normalized (SampleInto →
-//     Sample, PermInto → Perm); argument values are not compared. A draw
-//     site is never folded further, so rng.Intn's internal Uint64
-//     rejection loop is not double-counted.
+//     RNG stream (isRNGStream, shared with the effect summaries). The
+//     term's kind is the method name with the Into-variants normalized
+//     (SampleInto → Sample, PermInto → Perm); argument values are not
+//     compared. A draw site is never folded further, so rng.Intn's
+//     internal Uint64 rejection loop is not double-counted.
 //   - Loops multiply the body's terms by a *bound symbol*: "n" for
 //     X.Len() on a genome (or len of a Genes/Perm slice), "pop" for
 //     Population lengths, "w" for packed words, "#k"/"len#k" for the

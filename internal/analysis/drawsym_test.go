@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -48,6 +50,48 @@ func TestDrawParityRule(t *testing.T) {
 		{A: "pga/internal/pairfix2.Gone", B: "pga/internal/pairfix2.GoneInto"},
 	}})
 	checkRule(t, ok, "drawparity_ok.go")
+}
+
+// TestDrawPairTestsExist keeps each declared pair's dynamic backing
+// live: its Test must name a test function in the package of member A,
+// so a rename cannot leave the pair pinned by the static proof alone.
+func TestDrawPairTestsExist(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range DefaultDrawParityConfig().Pairs {
+		if p.Test == "" {
+			t.Errorf("pair %s / %s names no equivalence test", p.A, p.B)
+			continue
+		}
+		// "pga/internal/core.SerialEvaluator.EvaluateAll" → the package
+		// path ends at the first dot after the last slash.
+		slash := strings.LastIndex(p.A, "/")
+		dot := strings.Index(p.A[slash+1:], ".")
+		if slash < 0 || dot < 0 {
+			t.Errorf("pair %s / %s: cannot derive package from member name", p.A, p.B)
+			continue
+		}
+		dir := filepath.Join(root, strings.TrimPrefix(p.A[:slash+1+dot], "pga/"))
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil || len(files) == 0 {
+			t.Errorf("pair %s / %s: no test files under %s for claimed test %s", p.A, p.B, dir, p.Test)
+			continue
+		}
+		found := false
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found = found || strings.Contains(string(data), "func "+p.Test+"(")
+		}
+		if !found {
+			t.Errorf("pair %s / %s claims test %s, but no such test function exists in %s",
+				p.A, p.B, p.Test, dir)
+		}
+	}
 }
 
 // TestDrawShapesSymbolic pins the symbolic summaries themselves: the
@@ -136,51 +180,5 @@ func TestDrawShapeCanonicalization(t *testing.T) {
 	empty.Incomplete = true
 	if got := empty.String(); got != "no draws (incomplete)" {
 		t.Errorf("incomplete empty shape renders %q, want %q", got, "no draws (incomplete)")
-	}
-}
-
-// TestBuildTraceCover pins the audit transform: a pair is covered by a
-// scenario exercising its operator or by a dedicated equivalence test;
-// uncovered pairs gate, uncovered operators only inform.
-func TestBuildTraceCover(t *testing.T) {
-	pairs := []TracePair{
-		{A: "a.Cross", B: "a.CrossInto", Op: "OnePoint"},
-		{A: "a.SUS", B: "a.SUSInto", Op: "SUS", Test: "TestSUSIntoMatchesSUS"},
-		{A: "a.X", B: "a.XInto", Op: "Ghost"},
-	}
-	operators := []string{"OnePoint", "Ghost", "Orphan"}
-	scenarios := []TraceScenario{
-		{Name: "rastrigin-1point", Ops: []string{"OnePoint", "Tournament"}},
-	}
-	rep := BuildTraceCover(pairs, operators, scenarios)
-	if !rep.Failed() {
-		t.Fatal("report with an uncovered pair does not fail")
-	}
-	if len(rep.UncoveredPairs) != 1 || rep.UncoveredPairs[0] != "a.X / a.XInto" {
-		t.Errorf("uncovered pairs = %+v, want exactly the Ghost pair", rep.UncoveredPairs)
-	}
-	var covered int
-	for _, pc := range rep.Pairs {
-		if pc.Covered {
-			covered++
-		}
-	}
-	if covered != 2 {
-		t.Errorf("covered pairs = %d, want 2 (scenario-covered and test-covered)", covered)
-	}
-	if len(rep.UncoveredOps) != 2 {
-		t.Errorf("uncovered operators = %v, want Ghost and Orphan", rep.UncoveredOps)
-	}
-	md := rep.Markdown()
-	if !strings.Contains(md, "GATE FAILED") || !strings.Contains(md, "Ghost") {
-		t.Errorf("markdown report missing gate marker or uncovered pair:\n%s", md)
-	}
-
-	all := BuildTraceCover(pairs[:2], []string{"OnePoint"}, scenarios)
-	if all.Failed() {
-		t.Errorf("fully covered report fails: %+v", all.UncoveredPairs)
-	}
-	if strings.Contains(all.Markdown(), "GATE FAILED") {
-		t.Error("clean markdown report contains the gate marker")
 	}
 }

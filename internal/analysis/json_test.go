@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -17,15 +16,7 @@ var update = flag.Bool("update", false, "rewrite testdata golden files")
 // every fixture, byte-for-byte. Regenerate with `go test -run JSONGolden
 // -update ./internal/analysis`.
 func TestJSONGolden(t *testing.T) {
-	names := make([]string, 0, len(fixturePkgPaths))
-	for n := range fixturePkgPaths {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	pkgs := make([]*Package, 0, len(names))
-	for _, n := range names {
-		pkgs = append(pkgs, loadFixture(t, n))
-	}
+	_, pkgs := loadAllFixtures(t)
 	diags := RunAnalyzers("", pkgs, Registry())
 
 	data, err := json.MarshalIndent(diags, "", "  ")

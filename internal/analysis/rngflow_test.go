@@ -2,16 +2,17 @@ package analysis
 
 import "testing"
 
-func TestRngFlowBad(t *testing.T) { checkRule(t, RngFlow(), "rngflow_bad.go") }
-func TestRngFlowOk(t *testing.T)  { checkRule(t, RngFlow(), "rngflow_ok.go") }
+// The sharedrng_* fixtures are inherited from the retired local-only
+// sharedrng rule, as the ctxleak_* fixtures are for goroleak: their
+// `// want rngflow` markers pin that every function sharedrng flagged is
+// still flagged, including the alias, package-level and function-value
+// cases only sharedrng caught.
+func TestRngFlowBad(t *testing.T) {
+	checkRule(t, RngFlow(), "rngflow_bad.go")
+	checkRule(t, RngFlow(), "sharedrng_bad.go")
+}
 
-// TestRngFlowBeyondSharedRNG pins the reason the rule exists: every
-// violation in rngflow_bad.go hides behind a named function or a helper
-// chain, so the local closure-capture rule sees none of them.
-func TestRngFlowBeyondSharedRNG(t *testing.T) {
-	diags := runFixture(t, SharedRNG(), "rngflow_bad.go")
-	if len(diags) != 0 {
-		t.Errorf("sharedrng unexpectedly caught %d of rngflow_bad.go's violations: %v",
-			len(diags), diags)
-	}
+func TestRngFlowOk(t *testing.T) {
+	checkRule(t, RngFlow(), "rngflow_ok.go")
+	checkRule(t, RngFlow(), "sharedrng_ok.go")
 }

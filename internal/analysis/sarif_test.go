@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 )
 
@@ -13,15 +12,7 @@ import (
 // set, byte-for-byte. Regenerate with `go test -run SARIFGolden -update
 // ./internal/analysis`.
 func TestSARIFGolden(t *testing.T) {
-	names := make([]string, 0, len(fixturePkgPaths))
-	for n := range fixturePkgPaths {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	pkgs := make([]*Package, 0, len(names))
-	for _, n := range names {
-		pkgs = append(pkgs, loadFixture(t, n))
-	}
+	_, pkgs := loadAllFixtures(t)
 	registry := Registry()
 	diags := RunAnalyzers("", pkgs, registry)
 

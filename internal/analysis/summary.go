@@ -320,6 +320,30 @@ func isGlobalVar(v *types.Var) bool {
 	return !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
+// isRNGStream reports whether t is a pointer to an unsynchronized random
+// stream: internal/rng's Source or math/rand's Rand (either version).
+func isRNGStream(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj == nil || obj.Pkg() == nil {
+		return false
+	}
+	switch {
+	case obj.Name() == "Source" && obj.Pkg().Name() == "rng":
+		return true
+	case obj.Name() == "Rand" && obj.Pkg().Name() == "rand":
+		return true
+	}
+	return false
+}
+
 // addDrawPos records a draw site, deduplicated and bounded.
 func addDrawPos(m *map[*types.Var][]token.Pos, v *types.Var, pos token.Pos) bool {
 	if *m == nil {

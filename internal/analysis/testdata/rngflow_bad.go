@@ -1,10 +1,10 @@
 package fixture
 
 // Seeded violation fixtures for rngflow: one stream reaching two
-// goroutines through indirection sharedrng cannot see — named-function
-// spawns, helper chains, and loop spawns. Uses *math/rand.Rand, which
-// the rules treat like *rng.Source (checked as pga/internal/rng so the
-// deliberate math/rand import stays out of norawrand's way).
+// goroutines through indirection no closure-capture check can see —
+// named-function spawns, helper chains, and loop spawns. Uses
+// *math/rand.Rand, treated like *rng.Source (checked as pga/internal/rng
+// so the deliberate math/rand import stays out of norawrand's way).
 
 import (
 	"math/rand"
@@ -77,4 +77,21 @@ func launcher(n int) int {
 // call edges before surfacing in launcher.
 func dispatch(r *rand.Rand, n int, wg *sync.WaitGroup) {
 	spawnDrawer(r, n, wg)
+}
+
+// box carries a stream in a field.
+type box struct{ r *rand.Rand }
+
+// namedSpawnAlias hands the stream to a named worker and also stores it
+// in a field the parent draws through. The draw facts file that draw
+// against b, not r, so only the alias reference shows the race.
+func namedSpawnAlias(n int) int {
+	r := rand.New(rand.NewSource(5))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go worker(r, n, &wg) // want rngflow
+	b := &box{r: r}
+	v := b.r.Intn(n)
+	wg.Wait()
+	return v
 }

@@ -1,7 +1,7 @@
 package fixture
 
-// Corrected fixture for sharedrng: each goroutine owns its stream — the
-// split-and-move-in pattern and the pass-as-argument pattern.
+// Inherited clean rngflow fixture (from the retired sharedrng rule): each
+// goroutine owns its stream — split-and-move-in and pass-as-argument.
 
 import "math/rand"
 

@@ -3,10 +3,10 @@
 // buffering, in-place operators, per-engine scratch) is a pure
 // mechanical-sympathy change: for a given seed it must consume the exact
 // same RNG draws and produce bit-for-bit identical best-fitness traces.
-// TestGoldenTraces is the proof; `pgalint -tracecover` audits this
-// scenario table against the declared equivalence pairs and the operator
-// registry, which is why the table lives in a non-test file and each
-// scenario names the operators it exercises.
+// TestGoldenTraces is the proof. Each scenario names the operators it
+// exercises, and the tests hold that list against the operator registry
+// in both directions: every listed operator is registered, and every
+// registered operator is listed somewhere except the pinned exceptions.
 package equiv
 
 import (
@@ -31,8 +31,8 @@ type Trace struct {
 }
 
 // Scenario is one pinned configuration: a stable golden-file key, the
-// operator type names its trajectory exercises (tracecover's coverage
-// evidence), and the runner.
+// operator type names its trajectory exercises (the coverage evidence
+// TestScenariosPinOperators checks), and the runner.
 type Scenario struct {
 	Name string
 	Ops  []string

@@ -5,6 +5,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"pga/internal/core"
@@ -85,9 +87,9 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
-// TestScenarioOpsAreRegistered guards the tracecover inputs: every
-// operator name a scenario claims to exercise must exist in the operator
-// registry, so coverage claims cannot rot through renames.
+// TestScenarioOpsAreRegistered guards the scenarios' coverage claims:
+// every operator name a scenario claims to exercise must exist in the
+// operator registry, so the claims cannot rot through renames.
 func TestScenarioOpsAreRegistered(t *testing.T) {
 	known := map[string]bool{}
 	for _, op := range operators.RegisteredOperators() {
@@ -102,6 +104,29 @@ func TestScenarioOpsAreRegistered(t *testing.T) {
 				t.Errorf("%s: claims unregistered operator %q", sc.Name, op)
 			}
 		}
+	}
+}
+
+// TestScenariosPinOperators is the converse of
+// TestScenarioOpsAreRegistered: every registered operator is listed by
+// some golden scenario except Best (no draws) and Random (one Intn). A
+// new operator without a golden trace fails here.
+func TestScenariosPinOperators(t *testing.T) {
+	listed := map[string]bool{}
+	for _, sc := range Scenarios() {
+		for _, op := range sc.Ops {
+			listed[op] = true
+		}
+	}
+	var unpinned []string
+	for _, op := range operators.RegisteredOperators() {
+		if name := operators.OperatorTypeName(op); !listed[name] {
+			unpinned = append(unpinned, name)
+		}
+	}
+	sort.Strings(unpinned)
+	if want := []string{"Best", "Random"}; !reflect.DeepEqual(unpinned, want) {
+		t.Errorf("operators without a golden scenario: %v, want %v", unpinned, want)
 	}
 }
 

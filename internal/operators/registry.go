@@ -6,9 +6,9 @@ import (
 )
 
 // RegisteredOperators returns one canonical zero value of every concrete
-// library operator. `pgalint -tracecover` derives type names from these
-// to audit which operators the golden traces in internal/equiv exercise;
-// experiments and examples may also range over it. The combinators
+// library operator. The internal/equiv tests derive type names from
+// these to check which operators the golden traces exercise; experiments
+// and examples may also range over it. The combinators
 // (Chain, WithProbability) are excluded: their draw behaviour is their
 // wrapped mutators' plus their own gate, so no trace pins them directly.
 func RegisteredOperators() []any {
@@ -26,7 +26,7 @@ func RegisteredOperators() []any {
 
 // OperatorTypeName renders an operator's bare type name ("KPoint" for
 // operators.KPoint or *operators.KPoint) — the identity golden scenarios
-// and the tracecover audit agree on.
+// are keyed by.
 func OperatorTypeName(op any) string {
 	name := strings.TrimPrefix(fmt.Sprintf("%T", op), "*")
 	if i := strings.LastIndexByte(name, '.'); i >= 0 {

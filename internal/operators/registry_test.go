@@ -5,7 +5,7 @@ import "testing"
 // TestRegisteredOperatorsComplete guards the operator registry: every
 // Selector/Crossover/Mutator type in this package (compile-time checked
 // elsewhere via the interface assertion blocks) must appear exactly once,
-// and names must be unique — tracecover keys scenarios by these names.
+// and names must be unique — golden scenarios are keyed by these names.
 func TestRegisteredOperatorsComplete(t *testing.T) {
 	seen := map[string]bool{}
 	for _, op := range RegisteredOperators() {
